@@ -26,7 +26,6 @@ from .enumeration import (
     predicted_M1,
     tj_series_fixed_point,
     unicycle_bound,
-    wheel_bound,
     wheel_bound_exact,
     wheel_constant,
 )
@@ -50,13 +49,11 @@ from .hypergraph import (
     j_components,
     read_hypergraph,
     sample,
-    sample_hypergraph,
     write_hypergraph,
 )
 from .processes import (
     SearchTrace,
     TwoTypeTree,
-    branching_process,
     branching_with_rate,
     coupled_run,
     format_trace,

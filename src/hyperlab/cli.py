@@ -21,7 +21,7 @@ from .enumeration import (
     expected_Rs_upper,
     laplace_sum_check,
     unicycle_bound,
-    wheel_bound,
+    wheel_bound_exact,
 )
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
@@ -48,6 +48,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not ASCII text: {exc}") from exc
 
 
 def _build_parser() -> _Parser:
@@ -124,8 +132,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    with open(args.infile, "r", encoding="ascii") as fh:
-        h = read_hypergraph(fh.read())
+    h = read_hypergraph(_read_text(args.infile))
     comps, jset_map = j_components(h, args.j)
     isolated = binomial(h.n, args.j) - len(jset_map)
     print("id size order hypertree")
@@ -168,9 +175,9 @@ def _require(args, names: list[str]) -> None:
 def _cmd_bounds(args) -> int:
     if args.which == "wheel":
         _require(args, ["n", "k", "j", "ell"])
-        cw, bound = wheel_bound(args.n, args.k, args.j, args.ell)
+        cw, bound = wheel_bound_exact(args.n, args.k, args.j, args.ell)
         print(f"c_w={_frac(cw)}")
-        print(f"wheel_bound={bound:.10g}")
+        print(f"wheel_bound={float(bound):.10g}")
     elif args.which == "laplace":
         _require(args, ["a", "s"])
         chk = laplace_sum_check(args.a, args.s)
@@ -195,8 +202,7 @@ def _cmd_bounds(args) -> int:
 def _experiment_config(args) -> ExperimentConfig:
     values: dict[str, str] = {}
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            values = parse_config_file(fh.read())
+        values = parse_config_file(_read_text(args.config))
     def pick(flag, key, cast):
         if flag is not None:
             return flag

@@ -122,14 +122,19 @@ class TheoryParams:
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         c0 = math.comb(self.k, self.j) - 1
-        p0 = 1.0 / (c0 * math.comb(self.n - self.j, self.k - self.j))
-        if p0 <= 0.0:
-            raise ValidationError("p0 underflowed; n is too large for float probabilities")
+        try:
+            p0 = 1.0 / (c0 * math.comb(self.n - self.j, self.k - self.j))
+            lam = self.epsilon**3 * math.comb(self.n, self.j)
+        except OverflowError as exc:
+            raise ValidationError(
+                "C(n-j, k-j) or C(n, j) exceeds the float range; "
+                "n is too large for float probabilities"
+            ) from exc
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p", (1.0 - self.epsilon) * p0)
         object.__setattr__(self, "delta", -self.epsilon - math.log1p(-self.epsilon))
-        object.__setattr__(self, "lam", self.epsilon**3 * math.comb(self.n, self.j))
+        object.__setattr__(self, "lam", lam)
 
     @property
     def supersets_per_jset(self) -> int:

@@ -288,11 +288,6 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
     return total, distinct
 
 
-class WheelBound(NamedTuple):
-    c_w: Fraction
-    bound: float
-
-
 def wheel_constant(k: int, j: int) -> Fraction:
     """c_w = (k-j)^j / (j!(k-j)!) * prod_{m=1..j-1} (1 - (C(k-m,j-m)-1)/c0)^(-1)."""
     c0 = math.comb(k, j) - 1
@@ -313,12 +308,6 @@ def wheel_bound_exact(n: int, k: int, j: int, ell: int) -> tuple[Fraction, Fract
     inv_p0 = c0 * math.comb(n - j, k - j)
     bound = cw * n ** (k - j) * inv_p0 ** (ell - 1) / ell
     return cw, bound
-
-
-def wheel_bound(n: int, k: int, j: int, ell: int) -> WheelBound:
-    """Upper bound on the number of possible wheels of length ell on [n]."""
-    cw, bound = wheel_bound_exact(n, k, j, ell)
-    return WheelBound(c_w=cw, bound=float(bound))
 
 
 class LaplaceCheck(NamedTuple):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .combinatorics import TheoryParams
 from .enumeration import predicted_L1, predicted_M1
 from .errors import ResourceLimitError, ValidationError
-from .hypergraph import j_components, sample_hypergraph
+from .hypergraph import j_components, sample
 from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -100,7 +100,7 @@ class ExperimentSummary:
 
 
 def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
-    h = sample_hypergraph(params, seed)
+    h = sample(params.n, params.k, params.p, seed)
     comps, _ = j_components(h, params.j)
     ranked = sorted(comps, key=lambda c: (-c.size, c.id))
     sizes, orders, flags = [], [], []
@@ -129,17 +129,7 @@ def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
 def _trial_task(arg: tuple[tuple[int, int, int, float], int, int, int]) -> TrialRecord:
     (n, k, j, epsilon), base_seed, m, t = arg
     params = TheoryParams(n, k, j, epsilon)
-    rec = run_trial(params, trial_seed(base_seed, t), m)
-    return TrialRecord(
-        trial=t,
-        seed=rec.seed,
-        edges=rec.edges,
-        sizes=rec.sizes,
-        orders=rec.orders,
-        hypertree=rec.hypertree,
-        nonhypertree_count=rec.nonhypertree_count,
-        largest_nonhypertree=rec.largest_nonhypertree,
-    )
+    return replace(run_trial(params, trial_seed(base_seed, t), m), trial=t)
 
 
 def run_experiment(

@@ -2,9 +2,11 @@
 
 Two hyperedges lie in the same j-component when they are joined by a walk
 of hyperedges whose consecutive intersections have at least j vertices.
-Decomposition works with a union-find over the j-subsets of present edges:
-two edges sharing >= j vertices share at least one j-subset, so merging
-every edge's j-subsets realizes exactly that walk relation.
+Two edges sharing >= j vertices share at least one j-subset, so the walk
+relation is reachability in the bipartite incidence graph between edges and
+the j-sets they contain.  `jset_index` builds that graph as a map from each
+j-set to its edges; decomposition runs a breadth-first search over it, and
+wheel finding a depth-first search.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .combinatorics import TheoryParams, rank_subset, unrank_subset
+from .combinatorics import rank_subset, unrank_subset
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -49,17 +51,6 @@ class Hypergraph:
         canon = [tuple(sorted(e)) for e in edges]
         canon.sort(key=lambda e: rank_subset(e, n))
         return cls(n, k, tuple(canon))
-
-    @property
-    def edge_set(self) -> frozenset[tuple[int, ...]]:
-        cached = self.__dict__.get("_edge_set")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_set"] = cached
-        return cached
-
-    def __contains__(self, edge: tuple[int, ...]) -> bool:
-        return edge in self.edge_set
 
 
 @dataclass(frozen=True)
@@ -126,38 +117,6 @@ class ComponentSummary:
     wheel_witness: Optional[Wheel] = None
 
 
-class UnionFind:
-    """Disjoint sets over integer keys; path compression + union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        if root == x:
-            self.size.setdefault(x, 1)
-            return x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> int:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return rx
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        return rx
-
-
 def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Sample H^k(n, p): each k-set is an edge independently with probability p.
 
@@ -191,9 +150,21 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     return Hypergraph(n, k, tuple(edges))
 
 
-def sample_hypergraph(params: TheoryParams, seed: int) -> Hypergraph:
-    """Sample with the subcritical probability p = (1 - epsilon) * p0."""
-    return sample(params.n, params.k, params.p, seed)
+def jset_index(
+    edges: Iterable[tuple[int, ...]], j: int
+) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Map every j-set contained in one of `edges` to the edges containing it.
+
+    This is the bipartite edge/j-set incidence graph that decomposition,
+    wheel finding, component search and coupling all traverse.  Keys appear
+    in order of first touch, and each list keeps the input order, so
+    colex-ordered edges give colex-ordered lists.
+    """
+    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for e in edges:
+        for sub in combinations(e, j):
+            index.setdefault(sub, []).append(e)
+    return index
 
 
 def j_components(
@@ -209,41 +180,31 @@ def j_components(
     if not 1 <= j <= h.k - 1:
         raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
     c0 = math.comb(h.k, j) - 1
-    uf = UnionFind()
-    edge_first_rank: list[int] = []
-    for e in h.edges:
-        ranks = [rank_subset(sub, h.n) for sub in combinations(e, j)]
-        first = ranks[0]
-        for r in ranks[1:]:
-            uf.union(first, r)
-        edge_first_rank.append(first)
-
-    root_to_id: dict[int, int] = {}
-    comp_edges: list[list[tuple[int, ...]]] = []
-    for e, first in zip(h.edges, edge_first_rank):
-        root = uf.find(first)
-        cid = root_to_id.get(root)
-        if cid is None:
-            cid = len(root_to_id)
-            root_to_id[root] = cid
-            comp_edges.append([])
-        comp_edges[cid].append(e)
-
-    jset_to_component: dict[int, int] = {}
-    order = [0] * len(root_to_id)
-    for r in list(uf.parent):
-        cid = root_to_id[uf.find(r)]
-        jset_to_component[r] = cid
-        order[cid] += 1
-
+    index = jset_index(h.edges, j)
+    edge_cid: dict[tuple[int, ...], int] = {}
+    jset_cid: dict[tuple[int, ...], int] = {}
     summaries: list[ComponentSummary] = []
-    for cid, edges in enumerate(comp_edges):
-        size = len(edges)
-        t = order[cid]
-        is_hypertree = t == 1 + c0 * size
-        witness = None if is_hypertree else find_wheel(h, j, edges)
-        summaries.append(ComponentSummary(cid, size, t, is_hypertree, witness))
-    return summaries, jset_to_component
+    for first in h.edges:
+        if first in edge_cid:
+            continue
+        cid = len(summaries)
+        edge_cid[first] = cid
+        queue = [first]  # breadth-first: the loop below appends as it reads
+        order = 0
+        for e in queue:
+            for sub in combinations(e, j):
+                if sub in jset_cid:
+                    continue
+                jset_cid[sub] = cid
+                order += 1
+                for f in index[sub]:
+                    if f not in edge_cid:
+                        edge_cid[f] = cid
+                        queue.append(f)
+        is_hypertree = order == 1 + c0 * len(queue)
+        witness = None if is_hypertree else _wheel_search(index, j, first)
+        summaries.append(ComponentSummary(cid, len(queue), order, is_hypertree, witness))
+    return summaries, {rank_subset(s, h.n): jset_cid[s] for s in index}
 
 
 def find_wheel(
@@ -251,41 +212,35 @@ def find_wheel(
 ) -> Optional[Wheel]:
     """Return a wheel from one component's edges, or None if it is a hypertree.
 
-    Runs a depth-first search on the bipartite incidence graph between the
-    component's j-sets and edges (J adjacent to K iff J is a subset of K);
-    any non-tree edge closes an alternating cycle, which is the wheel.  The
-    returned witness is arbitrary, not canonical.
+    `component_edges` must be one whole j-component of `h`, in colex order.
+    The search starts from its first edge; the returned witness is
+    arbitrary, not canonical.
     """
-    adj: dict[tuple, list[tuple]] = {}
-    for e in component_edges:
-        knode = ("K", e)
-        adj.setdefault(knode, [])
-        for sub in combinations(e, j):
-            jnode = ("J", sub)
-            adj[knode].append(jnode)
-            adj.setdefault(jnode, []).append(knode)
+    if not component_edges:
+        return None
+    return _wheel_search(jset_index(component_edges, j), j, component_edges[0])
 
-    parent: dict[tuple, Optional[tuple]] = {}
-    depth: dict[tuple, int] = {}
-    for start in adj:
-        if start in depth:
-            continue
-        parent[start] = None
-        depth[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in depth:
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    stack.append(v)
-                elif v != parent[u]:
-                    return _wheel_from_cycle(u, v, parent, depth)
+
+def _wheel_search(index: dict, j: int, start: tuple[int, ...]) -> Optional[Wheel]:
+    # Depth-first search of the incidence graph from edge `start`.  Nodes are
+    # edges and j-sets, told apart by length; any non-tree edge of the search
+    # closes an alternating cycle, which is a wheel.
+    parent: dict[tuple, Optional[tuple]] = {start: None}
+    depth = {start: 0}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in (index[u] if len(u) == j else combinations(u, j)):
+            if v not in depth:
+                parent[v] = u
+                depth[v] = depth[u] + 1
+                stack.append(v)
+            elif v != parent[u]:
+                return _wheel_from_cycle(u, v, parent, depth, j)
     return None
 
 
-def _wheel_from_cycle(u: tuple, v: tuple, parent: dict, depth: dict) -> Wheel:
+def _wheel_from_cycle(u: tuple, v: tuple, parent: dict, depth: dict, j: int) -> Wheel:
     # non-tree edge (u, v): the cycle runs through the lowest common ancestor
     up_u, up_v = [u], [v]
     a, b = u, v
@@ -301,10 +256,10 @@ def _wheel_from_cycle(u: tuple, v: tuple, parent: dict, depth: dict) -> Wheel:
         up_u.append(a)
         up_v.append(b)
     path = up_u + up_v[-2::-1]  # u..lca + (lca..v reversed, lca dropped)
-    if path[0][0] == "J":
+    if len(path[0]) == j:
         path = path[1:] + path[:1]
-    edges = tuple(lbl for kind, lbl in path if kind == "K")
-    jsets = tuple(lbl for kind, lbl in path if kind == "J")
+    edges = tuple(x for x in path if len(x) != j)
+    jsets = tuple(x for x in path if len(x) == j)
     return Wheel(edges=edges, jsets=jsets)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .combinatorics import TheoryParams, rank_subset, unrank_subset
 from .errors import ValidationError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, jset_index
 from .rng import make_generator
 
 DEFAULT_CAP = 1_000_000
@@ -108,6 +108,12 @@ def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
     if not 1 <= j <= h.k - 1:
         raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
     start = _validate_jset(start, h.n, j)
+    return _search(jset_index(h.edges, j), j, start)
+
+
+def _search(index: dict, j: int, start: tuple[int, ...]) -> SearchTrace:
+    # The edges containing a fixed j-set, in colex order, are already in
+    # colex order of their complements, so each index list is scanned as is.
     discovered_j = {start}
     discovered_k: set[tuple[int, ...]] = set()
     queue: deque[tuple[str, tuple[int, ...]]] = deque([("J", start)])
@@ -116,12 +122,7 @@ def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
         kind, label = queue.popleft()
         pops.append((kind, label))
         if kind == "J":
-            jset = set(label)
-            pool = [v for v in range(1, h.n + 1) if v not in jset]
-            pos = {v: i + 1 for i, v in enumerate(pool)}
-            hits = [e for e in h.edges if jset <= set(e)]
-            hits.sort(key=lambda e: _complement_rank(e, label, pos))
-            for e in hits:
+            for e in index.get(label, ()):
                 if e not in discovered_k:
                     discovered_k.add(e)
                     queue.append(("K", e))
@@ -216,11 +217,6 @@ def branching_with_rate(
     return tree
 
 
-def branching_process(params: TheoryParams, root_label, seed: int, cap: int = DEFAULT_CAP) -> TwoTypeTree:
-    """Branching process at the subcritical rate p = (1 - epsilon) * p0."""
-    return branching_with_rate(params.n, params.k, params.j, params.p, root_label, seed, cap)
-
-
 def coupled_run(
     h: Hypergraph,
     params: TheoryParams,
@@ -237,16 +233,17 @@ def coupled_run(
     A k-set has been queried before iff one of its j-subsets was already
     expanded, so the first-query bookkeeping tracks expanded labels only.
     """
-    start = _validate_jset(start, h.n, params.j)
+    j = params.j
+    start = _validate_jset(start, h.n, j)
     if (h.n, h.k) != (params.n, params.k):
         raise ValidationError("hypergraph and params disagree on (n, k)")
-    trace = search_component(h, params.j, start)
+    index = jset_index(h.edges, j)
+    component_size = _search(index, j, start).size
 
-    ex = _Expander(params.n, params.k, params.j, params.p, seed)
+    ex = _Expander(params.n, params.k, j, params.p, seed)
     expanded: set[tuple[int, ...]] = set()
     queue: deque[tuple[int, ...]] = deque([start])
     branching_size = 0
-    j = params.j
 
     def queried_before(klabel: tuple[int, ...]) -> bool:
         return any(sub in expanded for sub in combinations(klabel, j))
@@ -255,11 +252,10 @@ def coupled_run(
         jlabel = queue.popleft()
         pool = ex.pool(jlabel)
         pos = {v: i + 1 for i, v in enumerate(pool)}
-        jset_set = set(jlabel)
         successes: dict[int, tuple[int, ...]] = {}
         # first queries answered by membership: present edges never seen before
-        for e in h.edges:
-            if jset_set <= set(e) and not queried_before(e):
+        for e in index.get(jlabel, ()):
+            if not queried_before(e):
                 successes[_complement_rank(e, jlabel, pos)] = e
         # repeat queries draw fresh Bernoulli(p); first queries of absent
         # k-sets answer "no" regardless of the draw
@@ -273,10 +269,10 @@ def coupled_run(
         expanded.add(jlabel)
         for i in sorted(successes):
             if branching_size >= cap:
-                return trace.size, branching_size
+                return component_size, branching_size
             klabel = successes[i]
             branching_size += 1
             for sub in combinations(klabel, j):
                 if sub != jlabel:
                     queue.append(sub)
-    return trace.size, branching_size
+    return component_size, branching_size

@@ -25,7 +25,6 @@ from hyperlab.hypergraph import (
     find_wheel,
     j_components,
     sample,
-    sample_hypergraph,
 )
 from hyperlab.processes import coupled_run
 from hyperlab.rng import trial_seed
@@ -90,7 +89,7 @@ def test_c04_coupling_dominance_ten_thousand_runs():
     for combo_idx, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 2)]):
         params = TheoryParams(60, k, j, 0.3)
         for s in range(2500):
-            h = sample_hypergraph(params, trial_seed(400 + combo_idx, s))
+            h = sample(params.n, params.k, params.p, trial_seed(400 + combo_idx, s))
             start = h.edges[0][:j] if h.edges else tuple(range(1, j + 1))
             comp, branch = coupled_run(h, params, start, trial_seed(500 + combo_idx, s))
             assert branch >= comp

@@ -86,6 +86,12 @@ class TestComponents:
         code, _, _ = run_cli(capsys, "components", "--in", str(tmp_path / "nope"), "--j", "2")
         assert code == 1
 
+    def test_non_ascii_file_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "h.txt"
+        f.write_bytes(b"5 3 1\n1 2 \xff\n")
+        code, _, err = run_cli(capsys, "components", "--in", str(f), "--j", "2")
+        assert code == 1 and err.startswith("error:")
+
 
 class TestEnumerate:
     def test_table_shape_and_known_row(self, capsys):
@@ -136,6 +142,14 @@ class TestBounds:
         )
         assert code == 1
 
+    def test_unicycle_beyond_float_range_exits_one(self, capsys):
+        # C(n-j, k-j) = C(99999, 199) does not fit in a float, so p0 cannot be formed
+        code, _, err = run_cli(
+            capsys, "bounds", "--which", "unicycle", "--n", "100000", "--k", "200", "--j", "1",
+            "--epsilon", "0.3", "--s", "2048",
+        )
+        assert code == 1 and err.startswith("error:")
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "8")
         assert code == 1 and "needs" in err
@@ -149,6 +163,12 @@ class TestExperiment:
         code, _, _ = run_cli(capsys, "experiment", "--n", "40", "--k", "3", "--j", "2",
                              "--epsilon", "0.3", "--trials", "0")
         assert code == 1
+
+    def test_non_ascii_config_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 40\nk = 3 # \xff\n")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 1 and err.startswith("error:")
 
     def test_small_run_skips_comparison(self, capsys, tmp_path):
         csv = tmp_path / "t.csv"

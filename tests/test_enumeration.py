@@ -21,7 +21,6 @@ from hyperlab.enumeration import (
     predicted_M1,
     tj_series_fixed_point,
     unicycle_bound,
-    wheel_bound,
     wheel_bound_exact,
     wheel_constant,
 )
@@ -207,7 +206,7 @@ class TestWheelBound:
         assert wheel_constant(4, 2) == Fraction(5, 3)
 
     def test_bound_value(self):
-        cw, bound = wheel_bound(8, 3, 2, 3)
+        cw, bound = wheel_bound_exact(8, 3, 2, 3)
         assert cw == 1
         assert bound == pytest.approx(8 * (2 * 6) ** 2 / 3)
 
@@ -219,7 +218,7 @@ class TestWheelBound:
 
     def test_rejects_short_wheels(self):
         with pytest.raises(ValidationError):
-            wheel_bound(8, 3, 2, 1)
+            wheel_bound_exact(8, 3, 2, 1)
 
 
 class TestLaplace:

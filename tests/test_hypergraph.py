@@ -14,7 +14,6 @@ from hyperlab.hypergraph import (
     j_components,
     read_hypergraph,
     sample,
-    sample_hypergraph,
     write_hypergraph,
 )
 from hyperlab.rng import trial_seed
@@ -68,10 +67,6 @@ class TestSampling:
         mean = sum(counts) / len(counts)
         sigma_mean = math.sqrt(total * p * (1 - p) / len(counts))
         assert abs(mean - total * p) <= 5 * sigma_mean
-
-    def test_params_wrapper(self):
-        params = TheoryParams(40, 3, 2, 0.3)
-        assert sample_hypergraph(params, 5).edges == sample(40, 3, params.p, 5).edges
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -151,7 +146,7 @@ class TestJComponents:
     def test_sizes_partition_edges(self):
         params = TheoryParams(40, 3, 2, 0.3)
         for seed in range(20):
-            h = sample_hypergraph(params, trial_seed(3, seed))
+            h = sample(params.n, params.k, params.p, trial_seed(3, seed))
             comps, jmap = j_components(h, 2)
             assert sum(c.size for c in comps) == len(h.edges)
             # each edge belongs to exactly one component

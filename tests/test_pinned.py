@@ -3,9 +3,7 @@
 Component sizes and orders do not depend on the order in which a search
 visits edges and j-sets, but search traces, wheel witnesses, component ids
 and the j-set map's insertion order do.  Each test hashes one such output
-on a seeded sample; the digests were recorded from the original
-union-find / rescanning implementation, so any change of visiting order
-shows up here.
+on a seeded sample, so any change of visiting order shows up here.
 """
 
 import hashlib

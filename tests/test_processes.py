@@ -4,9 +4,8 @@ import pytest
 
 from hyperlab.combinatorics import TheoryParams
 from hyperlab.errors import ValidationError
-from hyperlab.hypergraph import Hypergraph, j_components, sample_hypergraph
+from hyperlab.hypergraph import Hypergraph, j_components, sample
 from hyperlab.processes import (
-    branching_process,
     branching_with_rate,
     coupled_run,
     format_trace,
@@ -39,7 +38,7 @@ class TestSearch:
 
     def test_every_discovered_kset_contains_discovered_jset(self):
         params = TheoryParams(30, 3, 2, 0.3)
-        h = sample_hypergraph(params, 12)
+        h = sample(params.n, params.k, params.p, 12)
         start = h.edges[0][:2]
         tr = search_component(h, 2, start)
         for e in tr.discovered_ksets:
@@ -48,7 +47,7 @@ class TestSearch:
     def test_agreement_with_union_find_oracle(self):
         params = TheoryParams(40, 3, 2, 0.3)
         for seed in range(100):
-            h = sample_hypergraph(params, trial_seed(23, seed))
+            h = sample(params.n, params.k, params.p, trial_seed(23, seed))
             if not h.edges:
                 continue
             comps, jmap = j_components(h, 2)
@@ -75,13 +74,13 @@ class TestBranching:
     def test_type_count_identity(self):
         params = TheoryParams(30, 3, 2, 0.3)
         for seed in range(200):
-            t = branching_process(params, (1, 2), seed)
+            t = branching_with_rate(params.n, params.k, params.j, params.p, (1, 2), seed)
             assert t.count_type_j() == 1 + params.c0 * t.size
 
     def test_distinct_sibling_k_labels(self):
         params = TheoryParams(20, 3, 2, 0.5)
         for seed in range(100):
-            t = branching_process(params, (1, 2), seed)
+            t = branching_with_rate(params.n, params.k, params.j, params.p, (1, 2), seed)
             for v, kind in enumerate(t.types):
                 if kind != "j":
                     continue
@@ -90,7 +89,7 @@ class TestBranching:
 
     def test_k_vertex_children_are_its_other_jsets(self):
         params = TheoryParams(15, 4, 2, 0.4)
-        t = branching_process(params, (1, 2), 3)
+        t = branching_with_rate(params.n, params.k, params.j, params.p, (1, 2), 3)
         for v, kind in enumerate(t.types):
             if kind != "k":
                 continue
@@ -112,7 +111,7 @@ class TestBranching:
         total_j = 0
         seed = 0
         while total_j < 100_000:
-            t = branching_process(params, (1, 2), seed)
+            t = branching_with_rate(params.n, params.k, params.j, params.p, (1, 2), seed)
             total_k += t.size
             total_j += t.count_type_j()
             seed += 1
@@ -146,7 +145,7 @@ class TestCoupling:
 
     def test_determinism(self):
         params = TheoryParams(40, 3, 2, 0.3)
-        h = sample_hypergraph(params, 5)
+        h = sample(params.n, params.k, params.p, 5)
         start = h.edges[0][:2] if h.edges else (1, 2)
         assert coupled_run(h, params, start, 99) == coupled_run(h, params, start, 99)
 
@@ -154,7 +153,7 @@ class TestCoupling:
         for kk, jj in [(2, 1), (3, 2)]:
             params = TheoryParams(40, kk, jj, 0.3)
             for s in range(200):
-                h = sample_hypergraph(params, trial_seed(31, s))
+                h = sample(params.n, params.k, params.p, trial_seed(31, s))
                 start = h.edges[0][:jj] if h.edges else tuple(range(1, jj + 1))
                 comp, branch = coupled_run(h, params, start, trial_seed(37, s))
                 assert branch >= comp
