@@ -26,6 +26,7 @@ from .enumeration import (
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
     ExperimentConfig,
+    check_edge_budget,
     compare_to_theory,
     csv_lines,
     format_summary,
@@ -124,6 +125,8 @@ def _cmd_gen(args) -> int:
     else:
         j = args.j if args.j is not None else args.k - 1
         p = TheoryParams(args.n, args.k, j, args.epsilon).p
+    if 2 <= args.k <= args.n and 0.0 <= p <= 1.0:  # else sample reports the bad argument
+        check_edge_budget(args.n, args.k, p)
     h = sample(args.n, args.k, p, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(write_hypergraph(h))

@@ -7,13 +7,18 @@ increasing order, which lets the sampler skip over absent edges without
 materializing all C(n, k) of them.
 
 Enumeration-facing arithmetic is exact (Python ints / Fractions);
-probability-facing quantities (p, delta, lambda) are 64-bit floats.
+probability-facing quantities (p, delta, lambda) are 64-bit floats.  The
+array forms of ranking and unranking (`rank_array`, `unrank_array`) stay
+exact too: they compute in int64 while every intermediate fits and in
+object arrays of Python ints beyond that (`colex_dtype`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -75,6 +80,51 @@ def unrank_subset(rank: int, size: int, n: int) -> list[int]:
         out[i - 1] = lo
         rem -= math.comb(lo - 1, i)
         hi = lo - 1
+    return out
+
+
+def colex_dtype(n: int, size: int) -> type:
+    """Array dtype for the colex arithmetic of size-subsets of [1, n].
+
+    int64 while every C(x, i) with x <= n and i <= size, times size, stays
+    below 2**62, so that ranks, binomial tables and the products inside
+    `_comb_array` cannot overflow; object (exact Python ints) beyond that.
+    """
+    return np.int64 if math.comb(n, min(size, n // 2)) * size < 2**62 else object
+
+
+def _comb_array(x: np.ndarray, r: int) -> np.ndarray:
+    """Elementwise C(x, r) for an array of non-negative integers, exact in
+    x's dtype when that dtype is `colex_dtype` of a bound on x and r."""
+    out = np.ones_like(x)
+    for t in range(r):
+        out = out * (x - t) // (t + 1)  # C(x, t) * (x - t) = C(x, t + 1) * (t + 1)
+    return out
+
+
+def rank_array(sets: np.ndarray, n: int) -> np.ndarray:
+    """Colex ranks of the rows of an (m, size) array of sorted subsets of
+    [1, n]; the rows are not validated.  Row-wise equal to `rank_subset`."""
+    x = sets.astype(colex_dtype(n, sets.shape[1])) - 1
+    return sum(_comb_array(x[:, i - 1], i) for i in range(1, sets.shape[1] + 1))
+
+
+def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Inverse of `rank_array`: the (len(ranks), size) int64 array whose row
+    r is the subset of [1, n] at colex rank ranks[r].
+
+    Position i (from the top) holds 1 + the largest x with C(x, i) <= rem,
+    found by `searchsorted` in the table of C(x, i) over x in [0, n), so
+    the tables cost O(n * size) and every rank O(size * log n).
+    """
+    xs = np.arange(n).astype(colex_dtype(n, size))
+    out = np.empty((len(ranks), size), dtype=np.int64)
+    rem = ranks
+    for i in range(size, 0, -1):
+        table = _comb_array(xs, i)
+        a = np.searchsorted(table, rem, side="right") - 1
+        out[:, i - 1] = a + 1
+        rem = rem - table[a]
     return out
 
 

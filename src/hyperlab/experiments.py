@@ -14,9 +14,11 @@ is the operational stand-in for that bounded-in-probability claim.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -102,7 +104,8 @@ class ExperimentSummary:
 def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
     h = sample(params.n, params.k, params.p, seed)
     comps, _ = j_components(h, params.j)
-    ranked = sorted(comps, key=lambda c: (-c.size, c.id))
+    # comps come in id order and sorting is stable, even reversed: ties keep the smaller id first
+    ranked = sorted(comps, key=attrgetter("size"), reverse=True)
     sizes, orders, flags = [], [], []
     for i in range(m):
         if i < len(ranked):
@@ -126,6 +129,16 @@ def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
     )
 
 
+def check_edge_budget(n: int, k: int, p: float, cap: int = DEFAULT_EDGE_BUDGET) -> None:
+    """Refuse to sample H^k(n, p) when its expected edge count exceeds `cap`."""
+    try:
+        expected = math.comb(n, k) * p
+    except OverflowError:  # C(n, k) beyond the float range
+        expected = math.inf
+    if expected > cap:
+        raise ResourceLimitError(f"expected edge count {expected:.0f} exceeds budget {cap}")
+
+
 def _trial_task(arg: tuple[tuple[int, int, int, float], int, int, int]) -> TrialRecord:
     (n, k, j, epsilon), base_seed, m, t = arg
     params = TheoryParams(n, k, j, epsilon)
@@ -138,14 +151,12 @@ def run_experiment(
     """Run all trials (optionally in parallel) and aggregate.
 
     Output is independent of `workers`: each trial owns a splitmix64-mixed
-    seed and records are collected in trial order.
+    seed and records are collected in trial order.  At most
+    min(trials, os.cpu_count()) worker processes are started.
     """
     params = config.params()
-    expected_edges = math.comb(config.n, config.k) * params.p
-    if expected_edges > config.cap:
-        raise ResourceLimitError(
-            f"expected edge count {expected_edges:.0f} exceeds budget {config.cap}"
-        )
+    check_edge_budget(config.n, config.k, params.p, config.cap)
+    workers = min(workers, config.trials, os.cpu_count() or 1)
     start = time.perf_counter()
     key = (config.n, config.k, config.j, config.epsilon)
     tasks = [(key, config.base_seed, config.m, t) for t in range(config.trials)]

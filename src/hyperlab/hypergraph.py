@@ -4,9 +4,17 @@ Two hyperedges lie in the same j-component when they are joined by a walk
 of hyperedges whose consecutive intersections have at least j vertices.
 Two edges sharing >= j vertices share at least one j-subset, so the walk
 relation is reachability in the bipartite incidence graph between edges and
-the j-sets they contain.  `jset_index` builds that graph as a map from each
-j-set to its edges; decomposition runs a breadth-first search over it, and
-wheel finding a depth-first search.
+the j-sets they contain.
+
+The sample -> validate -> decompose path works on numpy arrays.  `sample`
+draws its uniforms in blocks, turns them into geometric gaps and cumulative
+colex ranks, and unranks them all at once (`unrank_array`).  `Hypergraph`
+checks the whole edge list in a few array operations.  `j_components`
+ranks every j-subset of every edge into one array (`rank_array`) and finds
+connected components of the incidence graph by hook-and-shortcut.  Only
+wheel finding, the component search and coupling walk tuples: they index
+the incidence graph as a map from each j-set to its edges (`jset_index`)
+and search it depth- or breadth-first.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -16,11 +24,14 @@ alternating sequence of distinct edges and distinct j-sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Optional
 
-from .combinatorics import rank_subset, unrank_subset
+import numpy as np
+
+from .combinatorics import colex_dtype, rank_array, rank_subset, unrank_array
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -36,14 +47,13 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.k < 2 or self.n < self.k:
             raise ValidationError(f"need n >= k >= 2, got n={self.n}, k={self.k}")
-        prev_rank = -1
-        for e in self.edges:
+        bad = _first_invalid_edge(self.edges, self.n, self.k)
+        if bad < len(self.edges):
+            e = self.edges[bad]
             if len(e) != self.k:
                 raise ValidationError(f"edge {e} does not have arity {self.k}")
-            r = rank_subset(e, self.n)  # also validates sortedness and range
-            if r <= prev_rank:
-                raise ValidationError(f"edges must be distinct and sorted by colex rank near {e}")
-            prev_rank = r
+            rank_subset(e, self.n)  # raises for a non-integer, unsorted or out-of-range element
+            raise ValidationError(f"edges must be distinct and sorted by colex rank near {e}")
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -117,37 +127,98 @@ class ComponentSummary:
     wheel_witness: Optional[Wheel] = None
 
 
+# Uniform draws per block of the gap sampler: the blocks keep memory at
+# O(edges) however large C(n, k) * p is.
+_BLOCK = 1 << 16
+# Largest n * k for which `sample` builds its colex tables (32 MiB of int64).
+MAX_TABLE_CELLS = 1 << 22
+
+
 def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Sample H^k(n, p): each k-set is an edge independently with probability p.
 
     Iterates edge colex ranks directly via geometric gap skipping (the gap G
     to the next present edge has P(G = g) = (1-p)^(g-1) * p), so absent
-    edges are never touched.  Identical (n, k, p, seed) give identical
-    hypergraphs, bit for bit.
+    edges are never touched.  The uniforms are drawn a block at a time, the
+    ranks are their cumulative gaps, and all ranks are unranked at once by
+    `unrank_array`.  Identical (n, k, p, seed) give identical hypergraphs,
+    bit for bit.
     """
     if k < 2 or n < k:
         raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
-    total = math.comb(n, k)
     if p == 0.0:
         return Hypergraph(n, k, ())
-    rng = make_generator(seed)
-    edges: list[tuple[int, ...]] = []
+    if n * k > MAX_TABLE_CELLS:
+        raise ResourceLimitError(
+            f"sampling at n={n}, k={k} needs colex tables of {n * k} entries, "
+            f"more than {MAX_TABLE_CELLS}"
+        )
+    total = math.comb(n, k)
+    dtype = colex_dtype(n, k)
     if p == 1.0:
-        for r in range(total):
-            edges.append(tuple(unrank_subset(r, k, n)))
-        return Hypergraph(n, k, tuple(edges))
+        ranks = np.arange(total, dtype=dtype)
+    else:
+        ranks = _edge_ranks(total, p, make_generator(seed), dtype)
+    return Hypergraph(n, k, tuple(map(tuple, unrank_array(ranks, k, n).tolist())))
+
+
+def _edge_ranks(total: int, p: float, rng: np.random.Generator, dtype: type) -> np.ndarray:
+    # The gap after rank r is 1 + floor(log1p(-u) / log1p(-p)) for the next
+    # uniform u.  rng.random(size) yields the same doubles as size scalar
+    # draws, so the ranks do not depend on the block size.
     log1mp = math.log1p(-p)
-    rank = -1
+    cap = 2.0**62 if dtype is np.int64 else sys.float_info.max
+    blocks = []
+    last = -1
     while True:
-        u = rng.random()
-        gap = 1 + int(math.log1p(-u) / log1mp)
-        rank += gap
-        if rank >= total:
-            break
-        edges.append(tuple(unrank_subset(rank, k, n)))
-    return Hypergraph(n, k, tuple(edges))
+        # the block size sets how many draws come at once, never the ranks
+        expect = min(total - 1 - last, 2**1000) * p
+        u = rng.random(min(_BLOCK, int(expect + 4 * math.sqrt(expect)) + 16))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf for subnormal p, capped below
+            q = np.log1p(-u) / log1mp
+            # np.log1p can differ from math.log1p in the last ulp; recompute
+            # every quotient close enough to an integer for that to move its floor
+            near = np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-9 * q)
+        q[near] = [math.log1p(-x) / log1mp for x in u[near].tolist()]
+        # below the cap the int64 gaps are exact, and a capped gap passes total
+        q = np.minimum(q, cap)
+        gaps = (q.astype(np.int64) if dtype is np.int64 else np.floor(q.astype(object))) + 1
+        # int64 sums may wrap only after they pass total, and are cut there
+        ranks = last + np.cumsum(gaps)
+        past = np.flatnonzero(ranks >= total)
+        if past.size:
+            blocks.append(ranks[:past[0]])
+            return np.concatenate(blocks)
+        blocks.append(ranks)
+        last = ranks[-1]
+
+
+def _first_invalid_edge(edges, n: int, k: int) -> int:
+    # Index of the first edge that breaks arity k, integer elements, strict
+    # ascent within [1, n] or strictly increasing colex order; len(edges)
+    # when none does.  Each check runs on the prefix the previous one passed.
+    end = _first_false(np.fromiter(map(len, edges), np.intp, len(edges)) == k)
+    flat = list(chain.from_iterable(edges[:end]))
+    is_int = np.fromiter(map(isinstance, flat, repeat(int)), bool, len(flat))
+    end = _first_false(is_int.reshape(end, k).all(axis=1))
+    try:
+        e = np.fromiter(flat[:end * k], np.int64, end * k).reshape(end, k)
+    except OverflowError:  # beyond int64: compare as Python ints
+        e = np.array(flat[:end * k], dtype=object).reshape(end, k)
+    ok = (e[:, 0] >= 1) & (e[:, 1:] > e[:, :-1]).all(axis=1) & (e[:, -1] <= n)
+    end = _first_false(ok)
+    # colex order: at the highest position where consecutive edges differ,
+    # the later edge holds the larger vertex
+    a, b = e[:end][:-1], e[:end][1:]
+    top = k - 1 - np.argmax((a != b)[:, ::-1], axis=1)
+    rows = np.arange(len(top))
+    return min(end, 1 + _first_false(b[rows, top] > a[rows, top]))
+
+
+def _first_false(flags: np.ndarray) -> int:
+    return int(np.argmin(flags)) if not flags.all() else len(flags)
 
 
 def jset_index(
@@ -155,8 +226,8 @@ def jset_index(
 ) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """Map every j-set contained in one of `edges` to the edges containing it.
 
-    This is the bipartite edge/j-set incidence graph that decomposition,
-    wheel finding, component search and coupling all traverse.  Keys appear
+    This is the bipartite edge/j-set incidence graph that wheel finding,
+    component search and coupling traverse.  Keys appear
     in order of first touch, and each list keeps the input order, so
     colex-ordered edges give colex-ordered lists.
     """
@@ -174,37 +245,54 @@ def j_components(
 
     Returns the component summaries, ordered by first appearance along the
     colex edge order, and a map from the colex rank of every j-set touched
-    by an edge to its component id.  Isolated j-sets (order 1, size 0) are
-    not materialized; their count is C(n, j) minus the map's length.
+    by an edge to its component id, in order of first touch along the edges.
+    Isolated j-sets (order 1, size 0) are not materialized; their count is
+    C(n, j) minus the map's length.
     """
     if not 1 <= j <= h.k - 1:
         raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
+    m = len(h.edges)
     c0 = math.comb(h.k, j) - 1
-    index = jset_index(h.edges, j)
-    edge_cid: dict[tuple[int, ...], int] = {}
-    jset_cid: dict[tuple[int, ...], int] = {}
-    summaries: list[ComponentSummary] = []
-    for first in h.edges:
-        if first in edge_cid:
-            continue
-        cid = len(summaries)
-        edge_cid[first] = cid
-        queue = [first]  # breadth-first: the loop below appends as it reads
-        order = 0
-        for e in queue:
-            for sub in combinations(e, j):
-                if sub in jset_cid:
-                    continue
-                jset_cid[sub] = cid
-                order += 1
-                for f in index[sub]:
-                    if f not in edge_cid:
-                        edge_cid[f] = cid
-                        queue.append(f)
-        is_hypertree = order == 1 + c0 * len(queue)
-        witness = None if is_hypertree else _wheel_search(index, j, first)
-        summaries.append(ComponentSummary(cid, len(queue), order, is_hypertree, witness))
-    return summaries, {rank_subset(s, h.n): jset_cid[s] for s in index}
+    edges = np.fromiter(chain.from_iterable(h.edges), colex_dtype(h.n, j), m * h.k)
+    edges = edges.reshape(m, h.k)
+    # rows e*(c0+1) .. e*(c0+1)+c0 are edge e's j-subsets, in `combinations` order
+    subsets = edges[:, list(combinations(range(h.k), j))].reshape(-1, j)
+    keys, first, jset = np.unique(rank_array(subsets, h.n), return_index=True,
+                                  return_inverse=True)
+    # nodes: edges 0..m-1, then j-sets; each root is its component's first edge
+    root = _least_connected(np.repeat(np.arange(m), c0 + 1), m + jset, m + len(keys))
+    roots, edge_cid = np.unique(root[:m], return_inverse=True)
+    jset_cid = edge_cid[root[m:]]
+    sizes = np.bincount(edge_cid)
+    orders = np.bincount(jset_cid, minlength=len(roots))
+    flags = orders == 1 + c0 * sizes
+    witnesses: list[Optional[Wheel]] = [None] * len(roots)
+    for cid in np.flatnonzero(~flags).tolist():
+        comp = [h.edges[e] for e in np.flatnonzero(edge_cid == cid).tolist()]
+        witnesses[cid] = _wheel_search(jset_index(comp, j), j, comp[0])
+    summaries = list(map(ComponentSummary, range(len(roots)), sizes.tolist(),
+                         orders.tolist(), flags.tolist(), witnesses))
+    touch = np.argsort(first)
+    return summaries, dict(zip(keys[touch].tolist(), jset_cid[touch].tolist()))
+
+
+def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    # Least node of every node's connected component in the graph on
+    # range(count) with edges (u[i], v[i]), by hooking and shortcutting:
+    # every root hooks onto the least root it shares an edge with, then
+    # pointer jumping flattens the trees.  Roots only ever hook onto smaller
+    # roots, so the last root standing is the component's least node.
+    parent = np.arange(count)
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return parent
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def find_wheel(

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+from hyperlab import experiments
 from hyperlab.cli import main
 from hyperlab.hypergraph import read_hypergraph
 
@@ -46,6 +47,14 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "--n", "5", "--k", "3", "--p", "1", "--frobnicate",
                              "--out", str(tmp_path / "x"))
         assert code == 1
+
+    def test_edge_budget_guard_exits_three(self, capsys, tmp_path):
+        # C(2000, 3) * 0.5 is about 6.7e8 expected edges, over the 5e6 budget
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "gen", "--n", "2000", "--k", "3", "--p", "0.5",
+                               "--out", str(out))
+        assert code == 3 and err.startswith("resource guard:")
+        assert not out.exists()
 
 
 class TestComponents:
@@ -188,6 +197,29 @@ class TestExperiment:
         a = tmp_path / "a.csv"
         assert run_cli(capsys, *self.ARGS, "--csv", str(a))[0] == 0
 
+    def test_workers_env_capped(self, capsys, monkeypatch):
+        pools = []
+
+        class InlinePool:  # records the pool size and runs every task in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("HYPERLAB_WORKERS", "500")
+        assert run_cli(capsys, *self.ARGS)[0] == 0  # 5 trials
+        assert run_cli(capsys, *self.ARGS, "--trials", "2")[0] == 0
+        assert pools == [3, 2]
+
     def test_stdout_reproducible_with_no_footer(self, capsys):
         code1, out1, _ = run_cli(capsys, *self.ARGS, "--no-footer")
         code2, out2, _ = run_cli(capsys, *self.ARGS, "--no-footer")
@@ -251,3 +283,17 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("5 3 10\n")
+
+
+def test_trial_imports_neither_scipy_nor_networkx():
+    # either would add about half a second and 30 MiB to every run's startup
+    code = (
+        "import sys\n"
+        "from hyperlab.combinatorics import TheoryParams\n"
+        "from hyperlab.experiments import run_trial\n"
+        "run_trial(TheoryParams(250, 3, 2, 0.3), 1, 3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from hyperlab.combinatorics import (
     TheoryParams,
     binomial,
+    colex_dtype,
     falling_factorial,
+    rank_array,
     rank_subset,
     subsets_colex,
+    unrank_array,
     unrank_subset,
 )
 from hyperlab.errors import ValidationError
@@ -99,6 +103,25 @@ def test_rank_unrank_roundtrip_property(n, data):
     rank = data.draw(st.integers(min_value=0, max_value=binomial(n, size) - 1))
     subset = unrank_subset(rank, size, n)
     assert rank_subset(subset, n) == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_array_forms_match_scalar_ranking(n, data):
+    # sizes up to n cover both the int64 and the object (>= 2**62) arithmetic
+    size = data.draw(st.integers(1, n))
+    total = math.comb(n, size)
+    ranks = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=20))
+    arr = np.array(ranks, dtype=colex_dtype(n, size))
+    rows = unrank_array(arr, size, n)
+    assert rows.tolist() == [unrank_subset(r, size, n) for r in ranks]
+    assert rank_array(rows, n).tolist() == ranks
+
+
+def test_colex_dtype_switches_to_python_ints():
+    assert colex_dtype(250, 3) is np.int64
+    assert colex_dtype(100, 20) is object
+    assert colex_dtype(100, 90) is object  # C(100, 50) bounds the tables of C(x, i), i <= 90
 
 
 def test_rank_rejects_unsorted_and_duplicates():

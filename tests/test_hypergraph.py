@@ -2,11 +2,15 @@ import math
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab.combinatorics import TheoryParams, rank_subset
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import (
+    MAX_TABLE_CELLS,
     Hypergraph,
     Wheel,
     brute_force_wheel_census,
@@ -74,6 +78,10 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample(10, 3, 1.5, 0)
 
+    def test_refuses_tables_beyond_the_cap(self):
+        with pytest.raises(ResourceLimitError):
+            sample(MAX_TABLE_CELLS // 2 + 1, 2, 1e-15, 0)
+
 
 class TestHypergraphType:
     def test_duplicate_edges_rejected(self):
@@ -110,6 +118,90 @@ class TestHypergraphType:
     def test_malformed_files(self, text):
         with pytest.raises(ValidationError):
             read_hypergraph(text)
+
+
+def per_edge_validate(n, k, edges):
+    """The per-edge edge-list check that `Hypergraph` ran before it checked
+    whole arrays; kept as the oracle for the array validator."""
+    prev_rank = -1
+    for e in edges:
+        if len(e) != k:
+            raise ValidationError(f"edge {e} does not have arity {k}")
+        r = rank_subset(e, n)  # also validates sortedness and range
+        if r <= prev_rank:
+            raise ValidationError(f"edges must be distinct and sorted by colex rank near {e}")
+        prev_rank = r
+
+
+def odd_element(n):
+    return st.one_of(
+        st.integers(-2, n + 2),
+        st.booleans(),
+        st.floats(0, n + 1),
+        st.integers(0, n + 1).map(np.int64),
+        st.integers(2**63 - 2, 2**70),
+    )
+
+
+@st.composite
+def edge_lists(draw):
+    """A colex-sorted valid edge list, then up to three corruptions."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, min(n, 4)))
+    pool = list(combinations(range(1, n + 1), k))
+    edges = [list(e) for e in sorted(draw(st.sets(st.sampled_from(pool), max_size=8)),
+                                     key=lambda e: rank_subset(e, n))]
+    for _ in range(draw(st.integers(0, 3))):
+        if not edges:
+            break
+        i = draw(st.integers(0, len(edges) - 1))
+        kind = draw(st.sampled_from(["element", "swap", "duplicate", "shorten", "lengthen",
+                                     "reorder"]))
+        e = edges[i]
+        if kind == "element" and e:
+            e[draw(st.integers(0, len(e) - 1))] = draw(odd_element(n))
+        elif kind == "swap" and len(e) > 1:
+            a = draw(st.integers(0, len(e) - 2))
+            e[a], e[a + 1] = e[a + 1], e[a]
+        elif kind == "duplicate":
+            edges.insert(i, list(e))
+        elif kind == "shorten" and e:
+            e.pop()
+        elif kind == "lengthen":
+            e.append(draw(odd_element(n)))
+        elif kind == "reorder":
+            edges.insert(draw(st.integers(0, len(edges))), edges.pop(i))
+    return n, k, tuple(tuple(e) for e in edges)
+
+
+def outcome(check, n, k, edges):
+    try:
+        check(n, k, edges)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestArrayValidation:
+    @settings(max_examples=600, deadline=None)
+    @given(edge_lists())
+    def test_matches_per_edge_oracle(self, case):
+        n, k, edges = case
+        assert outcome(Hypergraph, n, k, edges) == outcome(per_edge_validate, n, k, edges)
+
+    def test_rejects_each_fault_with_its_message(self):
+        cases = [
+            (((1, 2),), "edge (1, 2) does not have arity 3"),
+            (((1, 2, 3.0),), "subset elements must be integers, got 3.0"),
+            (((1, np.int64(2), 3),), f"subset elements must be integers, got {np.int64(2)!r}"),
+            (((1, 3, 2),), "subset must be sorted ascending without duplicates: [1, 3, 2]"),
+            (((1, 2, 2**64),), f"subset element {2**64} exceeds n=5"),
+            (((1, 2, 4), (1, 2, 3)), "edges must be distinct and sorted by colex rank near (1, 2, 3)"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(ValidationError) as info:
+                Hypergraph(5, 3, edges)
+            assert str(info.value) == message
 
 
 class TestJComponents:

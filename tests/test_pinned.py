@@ -3,10 +3,14 @@
 Component sizes and orders do not depend on the order in which a search
 visits edges and j-sets, but search traces, wheel witnesses, component ids
 and the j-set map's insertion order do.  Each test hashes one such output
-on a seeded sample, so any change of visiting order shows up here.
+on a seeded sample, so any change of visiting order shows up here.  The
+grid pins at the end hold the sampler's edges and the whole decomposition
+over many seeded samples, so that a faster implementation of either must
+reproduce them byte for byte.
 """
 
 import hashlib
+import math
 
 from hyperlab.cli import main
 from hyperlab.combinatorics import TheoryParams, rank_subset
@@ -85,3 +89,48 @@ def test_coupled_run_pinned():
             start = h.edges[0][:j] if h.edges else tuple(range(1, j + 1))
             results.append(coupled_run(h, params, start, trial_seed(43, s)))
     assert digest(repr(results)) == DIGESTS["coupled"]
+
+
+# -- sampler and decomposition over a seeded grid ------------------------------
+#
+# Each case is (n, k, j, p, seed).  The grid covers the five (k, j) pairs at
+# half, one and three times p0, the p = 0 and p = 1 edge cases, and one
+# (n, k) with C(n, k) >= 2**63, whose colex ranks do not fit in 64 bits.
+GRID_PAIRS = [(3, 2), (4, 2), (2, 1), (3, 1), (4, 3)]
+GRID_NS = {(3, 2): (12, 45, 120), (4, 2): (12, 40, 90), (2, 1): (12, 60, 120),
+           (3, 1): (12, 45, 120), (4, 3): (12, 30, 60)}
+GRID_DIGESTS = {
+    "sample": "2f243c53dabdf28f579e79ad2ad4cc288934198998754f9e35d62b5036052c1d",
+    "components": "ecc608c4360d21fd5f240e70426dc5c62a827fe8abb3f3992a0ebdd290afaa04",
+}
+
+
+def grid_cases():
+    cases = []
+    for k, j in GRID_PAIRS:
+        for n in GRID_NS[(k, j)]:
+            p0 = TheoryParams(n, k, j, 0.5).p0
+            for mult in (0.5, 1.0, 3.0):
+                for s in range(2):
+                    cases.append((n, k, j, min(1.0, mult * p0), trial_seed(n * k + j, s)))
+    cases += [(8, 3, 2, 0.0, 5), (8, 3, 2, 1.0, 5), (7, 4, 3, 1.0, 6), (6, 2, 1, 1.0, 7)]
+    assert math.comb(100, 20) >= 2**63
+    cases += [(100, 20, 1, 1e-19, 11), (100, 20, 1, 1e-19, 12)]
+    return cases
+
+
+def test_sample_grid_pinned():
+    texts = [write_hypergraph(sample(n, k, p, seed)) for n, k, _, p, seed in grid_cases()]
+    assert sum(t.count("\n") - 1 for t in texts[-2:]) > 40  # the >= 2**63 cases hold edges
+    assert digest("\n".join(texts)) == GRID_DIGESTS["sample"]
+
+
+def test_decomposition_grid_pinned():
+    parts = []
+    for n, k, j, p, seed in grid_cases():
+        comps, jmap = j_components(sample(n, k, p, seed), j)
+        parts.append(repr(list(jmap.items())))
+        parts.append(repr([(c.id, c.size, c.order, c.is_hypertree) for c in comps]))
+        parts.extend(repr((c.id, c.wheel_witness.edges, c.wheel_witness.jsets))
+                     for c in comps if c.wheel_witness is not None)
+    assert digest("\n".join(parts)) == GRID_DIGESTS["components"]
