@@ -9,6 +9,7 @@ flags and seeds; the only wall-clock line is the summary footer, which
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .enumeration import (
     laplace_sum_check,
     unicycle_bound,
     wheel_bound_exact,
+    wheel_constant,
 )
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
@@ -40,6 +42,9 @@ EXIT_VALIDATION = 1
 EXIT_COMPARISON = 2
 EXIT_RESOURCE = 3
 
+# Largest --s-max of `enumerate`: row s sums s big-integer terms; 700 rows take 6 s.
+MAX_ENUM_S = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     # route argparse failures through the validation exit code
@@ -48,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # longer than sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"exact value too long to print: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -156,16 +164,26 @@ def _cmd_components(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.s_max < 1:
         raise ValidationError(f"--s-max must be >= 1, got {args.s_max}")
+    if args.s_max > MAX_ENUM_S:
+        raise ResourceLimitError(f"--s-max is limited to {MAX_ENUM_S}, got {args.s_max}")
     # epsilon does not enter any printed column; any valid value carries (n, k, j)
     params = TheoryParams(args.n, args.k, args.j, 0.5)
+    # Row 1's upper column is the bracket's upper end, whose denominator
+    # c0^(s_max+2) divides: refuse before building a bracket that cannot print.
+    limit = sys.get_int_max_str_digits()
+    if limit and (args.s_max + 2) * math.log10(params.c0) > limit + 1:
+        raise ResourceLimitError(f"the table would print integers over {limit} digits")
     bracket = exp_reciprocal_bounds(params.c0, args.s_max + 2)
+    # Rows are formatted from the last, which carries the longest integers,
+    # and printed once all are: a refusal comes early and prints nothing.
+    reports = (enum_report(params, s, bracket) for s in range(args.s_max, 0, -1))
+    rows = [
+        f"{rep.s}\t{_frac(rep.f_s)}\t{_frac(rep.b_s)}\t{_frac(rep.lower)}"
+        f"\t{_frac(rep.upper)}\t{'true' if rep.bounds_hold else 'false'}"
+        for rep in reports
+    ]
     print("s\tF_s\tB_s\tlower\tupper\tbounds_hold")
-    for s in range(1, args.s_max + 1):
-        rep = enum_report(params, s, bracket)
-        print(
-            f"{rep.s}\t{_frac(rep.f_s)}\t{_frac(rep.b_s)}\t{_frac(rep.lower)}"
-            f"\t{_frac(rep.upper)}\t{'true' if rep.bounds_hold else 'false'}"
-        )
+    print("\n".join(reversed(rows)))
     return EXIT_OK
 
 
@@ -178,27 +196,37 @@ def _require(args, names: list[str]) -> None:
 def _cmd_bounds(args) -> int:
     if args.which == "wheel":
         _require(args, ["n", "k", "j", "ell"])
-        cw, bound = wheel_bound_exact(args.n, args.k, args.j, args.ell)
-        print(f"c_w={_frac(cw)}")
-        print(f"wheel_bound={float(bound):.10g}")
+        n, k, j, ell = args.n, args.k, args.j, args.ell
+        if ell >= 2 and n >= k > j >= 1:  # else wheel_bound_exact reports the bad argument
+            # refuse in log space before the exact power of 1/p0; near the edge float(bound) decides
+            cw = wheel_constant(k, j)
+            log_bound = (math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
+                         + (ell - 1) * math.log((math.comb(k, j) - 1) * math.comb(n - j, k - j))
+                         - math.log(ell))
+            if log_bound > math.log(sys.float_info.max) + 1:
+                raise ValidationError(f"the wheel bound e^{log_bound:.6g} is past the float range")
+        cw, bound = wheel_bound_exact(n, k, j, ell)
+        try:
+            lines = [f"c_w={_frac(cw)}", f"wheel_bound={float(bound):.10g}"]
+        except OverflowError as exc:
+            raise ValidationError("the wheel bound is past the float range") from exc
+        print("\n".join(lines))
     elif args.which == "laplace":
         _require(args, ["a", "s"])
         chk = laplace_sum_check(args.a, args.s)
         print(f"lhs={chk.lhs:.10g}")
         print(f"rhs={chk.rhs:.10g}")
         print(f"holds={'true' if chk.holds else 'false'}")
-    elif args.which in ("rs", "cs"):
+    else:
         _require(args, ["n", "k", "j", "epsilon", "s"])
         params = TheoryParams(args.n, args.k, args.j, args.epsilon)
         if args.which == "rs":
             print(f"expected_Rs_upper={expected_Rs_upper(params, args.s):.10g}")
-        else:
+        elif args.which == "cs":
             print(f"expected_Cs_lower_reference={expected_Cs_lower_reference(params, args.s):.10g}")
-    else:
-        _require(args, ["n", "k", "j", "epsilon", "s"])
-        params = TheoryParams(args.n, args.k, args.j, args.epsilon)
-        logv = unicycle_bound(params, args.s, args.constant)
-        print(f"log_unicycle_bound={logv:.10g}")
+        else:
+            logv = unicycle_bound(params, args.s, args.constant)
+            print(f"log_unicycle_bound={logv:.10g}")
     return EXIT_OK
 
 

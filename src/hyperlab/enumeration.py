@@ -29,6 +29,13 @@ import numpy as np
 from .combinatorics import TheoryParams
 from .errors import ResourceLimitError, ValidationError
 
+# Largest s of the B_s bounds; their log-space sum over s terms takes 0.1 s there.
+MAX_BOUND_S = 100_000
+# Largest s of `laplace_sum_check`, whose float arrays take about 40 bytes per term.
+MAX_LAPLACE_S = 1_000_000
+# Largest size, in decimal digits, of the exact arithmetic in `wheel_constant`.
+MAX_WHEEL_CONSTANT_DIGITS = 100_000
+
 
 class RationalSeries:
     """Truncated formal power series with exact Fraction coefficients."""
@@ -289,7 +296,15 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
 
 
 def wheel_constant(k: int, j: int) -> Fraction:
-    """c_w = (k-j)^j / (j!(k-j)!) * prod_{m=1..j-1} (1 - (C(k-m,j-m)-1)/c0)^(-1)."""
+    """c_w = (k-j)^j / (j!(k-j)!) * prod_{m=1..j-1} (1 - (C(k-m,j-m)-1)/c0)^(-1).
+
+    Refused (ResourceLimitError) when j! (k-j)! c0^(j-1), the size of the
+    exact arithmetic, has more than MAX_WHEEL_CONSTANT_DIGITS digits.
+    """
+    log_c0 = math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
+    digits = ((j - 1) * log_c0 + math.lgamma(j + 1) + math.lgamma(k - j + 1)) / math.log(10)
+    if digits > MAX_WHEEL_CONSTANT_DIGITS:
+        raise ResourceLimitError(f"c_w at (k, j) = ({k}, {j}) needs about {digits:.3g} digits")
     c0 = math.comb(k, j) - 1
     cw = Fraction((k - j) ** j, math.factorial(j) * math.factorial(k - j))
     for m in range(1, j):
@@ -326,6 +341,8 @@ def laplace_sum_check(a: int, s: int) -> LaplaceCheck:
         raise ValidationError(f"a must be >= 1, got {a}")
     if s < (16 * a) ** 2:
         raise ValidationError(f"need s >= (16a)^2 = {(16 * a) ** 2}, got {s}")
+    if s > MAX_LAPLACE_S:
+        raise ResourceLimitError(f"the Laplace sum takes s <= {MAX_LAPLACE_S}, got s={s}")
     i = np.arange(1, s + 1, dtype=np.float64)
     log_ratio = np.cumsum(np.log1p(-(i - 1) / s))  # log of falling(s, i)/s^i
     lhs = float(np.exp(a * np.log(i) + log_ratio).sum())
@@ -334,16 +351,25 @@ def laplace_sum_check(a: int, s: int) -> LaplaceCheck:
 
 
 def _log_b_s(params: TheoryParams, s: int) -> float:
-    val = b_s(params, s)
-    return math.log(val.numerator) - math.log(val.denominator)
+    # log B_s by log-sum-exp over the closed-form terms of F_s, in floats;
+    # the exact `b_s` sums s big-integer terms
+    if s < 1:
+        raise ValidationError(f"s must be >= 1, got {s}")
+    if s > MAX_BOUND_S:
+        raise ResourceLimitError(f"the B_s bounds take s <= {MAX_BOUND_S}, got s={s}")
+    log_c0s, log_s = math.log(params.c0 * s), math.log(s)
+    terms = [(s - r) * log_c0s - log_s - math.lgamma(r) - math.lgamma(s - r + 1)
+             for r in range(1, s + 1)]
+    top = max(terms)
+    log_f_s = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+    return (math.log(math.comb(params.n, params.j))
+            + s * math.log(params.supersets_per_jset) + log_f_s)
 
 
 def expected_Rs_upper(params: TheoryParams, s: int) -> float:
     """Upper bound on the expected total of type-j vertices over all
     branching instances of size s:
     B_s p^s (1-p)^((1+c0 s) C(n-j,k-j) - s(1+c0)), log-space evaluated."""
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
     exponent = (1 + params.c0 * s) * params.supersets_per_jset - s * (1 + params.c0)
     logv = _log_b_s(params, s) + s * math.log(params.p) + exponent * math.log1p(-params.p)
     return math.exp(logv)
@@ -356,8 +382,6 @@ def expected_Cs_lower_reference(params: TheoryParams, s: int) -> float:
     Uses B_s in place of the all-labels-distinct count (they agree up to
     1 - o(1)), so this is a reference value, not a rigorous lower bound.
     """
-    if s < 1:
-        raise ValidationError(f"s must be >= 1, got {s}")
     exponent = (1 + s * params.c0) * params.supersets_per_jset
     logv = _log_b_s(params, s) + s * math.log(params.p) + exponent * math.log1p(-params.p)
     return math.exp(logv)

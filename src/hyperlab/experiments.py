@@ -105,25 +105,16 @@ def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
     h = sample(params.n, params.k, params.p, seed)
     comps, _ = j_components(h, params.j)
     # comps come in id order and sorting is stable, even reversed: ties keep the smaller id first
-    ranked = sorted(comps, key=attrgetter("size"), reverse=True)
-    sizes, orders, flags = [], [], []
-    for i in range(m):
-        if i < len(ranked):
-            sizes.append(ranked[i].size)
-            orders.append(ranked[i].order)
-            flags.append(ranked[i].is_hypertree)
-        else:
-            sizes.append(0)
-            orders.append(0)
-            flags.append(None)
+    top = sorted(comps, key=attrgetter("size"), reverse=True)[:m]
+    pad = m - len(top)  # ranks past the last component read 0, 0, None
     nonhyp = [c.size for c in comps if not c.is_hypertree]
     return TrialRecord(
         trial=0,  # caller stamps the index
         seed=seed,
         edges=len(h.edges),
-        sizes=tuple(sizes),
-        orders=tuple(orders),
-        hypertree=tuple(flags),
+        sizes=tuple(c.size for c in top) + (0,) * pad,
+        orders=tuple(c.order for c in top) + (0,) * pad,
+        hypertree=tuple(c.is_hypertree for c in top) + (None,) * pad,
         nonhypertree_count=len(nonhyp),
         largest_nonhypertree=max(nonhyp, default=0),
     )
@@ -244,19 +235,13 @@ def compare_to_theory(
         detail=f"p95-p05 spread of delta*L_1 - target = {spread:.4g} (limit {spread_width:g})",
     )
     flags = [f for r in records for f in r.hypertree if f is not None]
-    if flags:
-        frac = sum(flags) / len(flags)
-        crit_b = Criterion(
-            name="hypertree_fraction",
-            passed=bool(frac >= hypertree_threshold),
-            detail=f"top-m hypertree fraction = {frac:.4g} (threshold {hypertree_threshold:g})",
-        )
-    else:
-        crit_b = Criterion(
-            name="hypertree_fraction",
-            passed=True,
-            detail="no components recorded; fraction undefined (null)",
-        )
+    frac = sum(flags) / len(flags) if flags else None
+    crit_b = Criterion(
+        name="hypertree_fraction",
+        passed=frac is None or bool(frac >= hypertree_threshold),
+        detail="no components recorded; fraction undefined (null)" if frac is None
+        else f"top-m hypertree fraction = {frac:.4g} (threshold {hypertree_threshold:g})",
+    )
     c0 = summary.config.params().c0
     violations = sum(
         1

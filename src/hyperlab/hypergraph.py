@@ -269,7 +269,7 @@ def j_components(
     witnesses: list[Optional[Wheel]] = [None] * len(roots)
     for cid in np.flatnonzero(~flags).tolist():
         comp = [h.edges[e] for e in np.flatnonzero(edge_cid == cid).tolist()]
-        witnesses[cid] = _wheel_search(jset_index(comp, j), j, comp[0])
+        witnesses[cid] = find_wheel(h, j, comp)
     summaries = list(map(ComponentSummary, range(len(roots)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
     touch = np.argsort(first)
@@ -306,13 +306,11 @@ def find_wheel(
     """
     if not component_edges:
         return None
-    return _wheel_search(jset_index(component_edges, j), j, component_edges[0])
-
-
-def _wheel_search(index: dict, j: int, start: tuple[int, ...]) -> Optional[Wheel]:
-    # Depth-first search of the incidence graph from edge `start`.  Nodes are
-    # edges and j-sets, told apart by length; any non-tree edge of the search
-    # closes an alternating cycle, which is a wheel.
+    # Depth-first search of the incidence graph from the first edge.  Nodes
+    # are edges and j-sets, told apart by length; any non-tree edge of the
+    # search closes an alternating cycle, which is a wheel.
+    index = jset_index(component_edges, j)
+    start = component_edges[0]
     parent: dict[tuple, Optional[tuple]] = {start: None}
     depth = {start: 0}
     stack = [start]

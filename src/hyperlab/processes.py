@@ -14,6 +14,10 @@ outcomes.  Every k-set the search discovers is in the hypergraph, so its
 first query created a branching vertex with that label; distinct labels
 give distinct vertices, hence branching size >= component size on every
 run, not merely in expectation.
+
+`branching_with_rate` and `coupled_run` grow their trees in one
+breadth-first loop; they differ only in the rule that turns one pop's
+Bernoulli hits into spawned k-sets.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class TwoTypeTree:
     """Rooted labelled two-type tree produced by the branching process.
 
     Vertex 0 is the root (type "j").  Every type-k vertex has exactly c0
-    type-j children, so a tree of size s has 1 + c0*s type-j vertices.
+    type-j children, so a tree of size s (its count of type-k vertices) has
+    1 + c0*s type-j vertices.
     """
 
     n: int
@@ -66,9 +71,12 @@ class TwoTypeTree:
     parents: list[Optional[int]] = field(default_factory=list)
     children: list[list[int]] = field(default_factory=list)
     truncated: bool = False
+    size: int = field(default=0, init=False)
 
     def add(self, kind: str, label: tuple[int, ...], parent: Optional[int]) -> int:
         idx = len(self.types)
+        if kind == "k":
+            self.size += 1
         self.types.append(kind)
         self.labels.append(label)
         self.parents.append(parent)
@@ -77,12 +85,8 @@ class TwoTypeTree:
             self.children[parent].append(idx)
         return idx
 
-    @property
-    def size(self) -> int:
-        return sum(1 for t in self.types if t == "k")
-
     def count_type_j(self) -> int:
-        return sum(1 for t in self.types if t == "j")
+        return len(self.types) - self.size
 
 
 def _validate_jset(start, n: int, j: int) -> tuple[int, ...]:
@@ -91,11 +95,6 @@ def _validate_jset(start, n: int, j: int) -> tuple[int, ...]:
         raise ValidationError(f"start must have exactly {j} vertices, got {s}")
     rank_subset(s, n)  # validates sortedness, distinctness, range
     return s
-
-
-def _complement_rank(kset: tuple[int, ...], jset: tuple[int, ...], pos: dict[int, int]) -> int:
-    rest = sorted(pos[v] for v in kset if v not in jset)
-    return sum(math.comb(a - 1, i) for i, a in enumerate(rest, start=1))
 
 
 def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
@@ -149,34 +148,34 @@ def format_trace(trace: SearchTrace) -> list[str]:
     ]
 
 
-def _merge_label(jset: tuple[int, ...], extra: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(jset + extra))
-
-
-class _Expander:
-    """Per-run machinery for one type-j expansion step.
-
-    Draws one uniform vector over the C(n-j, k-j) colex-ordered candidate
-    k-sets; candidate i succeeds iff u[i] < p (overridden by the coupling
-    rule when a hypergraph drives first queries).
-    """
-
-    def __init__(self, n: int, k: int, j: int, p: float, seed: int) -> None:
-        self.n, self.k, self.j, self.p = n, k, j, p
-        self.rng = make_generator(seed)
-        self.n_candidates = math.comb(n - j, k - j)
-
-    def pool(self, jset: tuple[int, ...]) -> list[int]:
-        jset_set = set(jset)
-        return [v for v in range(1, self.n + 1) if v not in jset_set]
-
-    def candidate(self, jset: tuple[int, ...], pool: list[int], idx: int) -> tuple[int, ...]:
-        posns = unrank_subset(idx, self.k - self.j, len(pool))
-        return _merge_label(jset, tuple(pool[pm - 1] for pm in posns))
-
-    def bernoulli_hits(self) -> np.ndarray:
-        u = self.rng.random(self.n_candidates)
-        return np.flatnonzero(u < self.p)
+def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, cap: int,
+            spawn) -> TwoTypeTree:
+    # The two-type process, breadth-first.  Each popped type-j vertex draws
+    # one uniform per candidate k-set, C(n-j, k-j) of them in colex order,
+    # and `spawn(jlabel, hits)` turns the k-sets hit with probability p into
+    # the k-labels that join the tree, still in colex order.
+    rng = make_generator(seed)
+    n_candidates = math.comb(n - j, k - j)
+    tree = TwoTypeTree(n=n, k=k, j=j)
+    tree.add("j", root, None)
+    queue: deque[int] = deque([0])
+    while queue:
+        u_idx = queue.popleft()
+        jlabel = tree.labels[u_idx]
+        pool = [v for v in range(1, n + 1) if v not in jlabel]
+        hits = []
+        for i in np.flatnonzero(rng.random(n_candidates) < p).tolist():
+            added = tuple(pool[pm - 1] for pm in unrank_subset(i, k - j, len(pool)))  # colex rank i
+            hits.append(tuple(sorted(jlabel + added)))
+        for klabel in spawn(jlabel, hits):
+            if tree.size >= cap:
+                tree.truncated = True
+                return tree
+            k_idx = tree.add("k", klabel, u_idx)
+            for sub in combinations(klabel, j):
+                if sub != jlabel:
+                    queue.append(tree.add("j", sub, k_idx))
+    return tree
 
 
 def branching_with_rate(
@@ -194,27 +193,7 @@ def branching_with_rate(
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     root = _validate_jset(root_label, n, j)
-    ex = _Expander(n, k, j, p, seed)
-    tree = TwoTypeTree(n=n, k=k, j=j)
-    tree.add("j", root, None)
-    queue: deque[int] = deque([0])
-    size = 0
-    while queue:
-        u_idx = queue.popleft()
-        jlabel = tree.labels[u_idx]
-        pool = ex.pool(jlabel)
-        hits = ex.bernoulli_hits()
-        for i in hits:
-            if size >= cap:
-                tree.truncated = True
-                return tree
-            klabel = ex.candidate(jlabel, pool, int(i))
-            k_idx = tree.add("k", klabel, u_idx)
-            size += 1
-            for sub in combinations(klabel, j):
-                if sub != jlabel:
-                    queue.append(tree.add("j", sub, k_idx))
-    return tree
+    return _branch(n, k, j, p, root, seed, cap, lambda jlabel, hits: hits)
 
 
 def coupled_run(
@@ -239,40 +218,20 @@ def coupled_run(
         raise ValidationError("hypergraph and params disagree on (n, k)")
     index = jset_index(h.edges, j)
     component_size = _search(index, j, start).size
-
-    ex = _Expander(params.n, params.k, j, params.p, seed)
     expanded: set[tuple[int, ...]] = set()
-    queue: deque[tuple[int, ...]] = deque([start])
-    branching_size = 0
 
     def queried_before(klabel: tuple[int, ...]) -> bool:
         return any(sub in expanded for sub in combinations(klabel, j))
 
-    while queue:
-        jlabel = queue.popleft()
-        pool = ex.pool(jlabel)
-        pos = {v: i + 1 for i, v in enumerate(pool)}
-        successes: dict[int, tuple[int, ...]] = {}
-        # first queries answered by membership: present edges never seen before
-        for e in index.get(jlabel, ()):
-            if not queried_before(e):
-                successes[_complement_rank(e, jlabel, pos)] = e
-        # repeat queries draw fresh Bernoulli(p); first queries of absent
-        # k-sets answer "no" regardless of the draw
-        for i in ex.bernoulli_hits():
-            i = int(i)
-            if i in successes:
-                continue
-            klabel = ex.candidate(jlabel, pool, i)
-            if queried_before(klabel):
-                successes[i] = klabel
+    def first_query_rule(jlabel, hits):
+        # A first query is answered by membership: present edges never queried
+        # spawn, and absent k-sets do not, whatever their draw.  A repeat query
+        # keeps its Bernoulli(p) hit.  Both lists hold k-sets containing
+        # jlabel, whose colex order is that of the reversed tuples.
+        fresh = [e for e in index.get(jlabel, ()) if not queried_before(e)]
+        repeats = [e for e in hits if queried_before(e)]
         expanded.add(jlabel)
-        for i in sorted(successes):
-            if branching_size >= cap:
-                return component_size, branching_size
-            klabel = successes[i]
-            branching_size += 1
-            for sub in combinations(klabel, j):
-                if sub != jlabel:
-                    queue.append(sub)
-    return component_size, branching_size
+        return sorted(fresh + repeats, key=lambda e: e[::-1])
+
+    tree = _branch(params.n, params.k, j, params.p, start, seed, cap, first_query_rule)
+    return component_size, tree.size

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import experiments
 from hyperlab.cli import main
@@ -119,6 +124,18 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "--k", "2", "--j", "1", "--n", "4", "--s-max", "0")
         assert code == 1
 
+    def test_rows_beyond_digit_limit_exit_three_without_table(self, capsys):
+        # row 1000's upper column has about 4,900 digits, over the 4,300-digit print limit
+        code, out, err = run_cli(capsys, "enumerate", "--k", "3", "--j", "2", "--n", "100",
+                                 "--s-max", "1000")
+        assert code == 3 and out == "" and err.startswith("resource guard:")
+
+    def test_huge_smax_refused_at_once(self, capsys):
+        for k, j in [("2", "1"), ("3", "2")]:
+            code, out, err = run_cli(capsys, "enumerate", "--k", k, "--j", j, "--n", "100",
+                                     "--s-max", str(10**15))
+            assert code == 3 and out == "" and err.startswith("resource guard:")
+
 
 class TestBounds:
     def test_wheel(self, capsys):
@@ -159,9 +176,73 @@ class TestBounds:
         )
         assert code == 1 and err.startswith("error:")
 
+    def test_wheel_beyond_float_range_exits_one(self, capsys):
+        for ell in ("300", str(10**15)):
+            code, out, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "8", "--k", "3",
+                                     "--j", "2", "--ell", ell)
+            assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_wheel_constant_too_large_exits_three(self, capsys):
+        big = str(10**15)
+        code, _, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", big, "--k", big,
+                               "--j", "3", "--ell", "2")
+        assert code == 3 and err.startswith("resource guard:")
+        code, _, err = run_cli(capsys, "bounds", "--which", "unicycle", "--n", big, "--k", big,
+                               "--j", "3", "--epsilon", "0.3", "--s", "2048")
+        assert code == 3 and err.startswith("resource guard:")
+
+    def test_laplace_huge_s_exits_three(self, capsys):
+        code, _, err = run_cli(capsys, "bounds", "--which", "laplace", "--a", "1",
+                               "--s", str(10**15))
+        assert code == 3 and err.startswith("resource guard:")
+
+    def test_rs_cs_up_to_the_s_limit(self, capsys):
+        base = ["--n", "60", "--k", "3", "--j", "2", "--epsilon", "0.3"]
+        for which in ("rs", "cs"):
+            assert run_cli(capsys, "bounds", "--which", which, *base, "--s", "100000")[0] == 0
+            code, _, err = run_cli(capsys, "bounds", "--which", which, *base, "--s", "100001")
+            assert code == 3 and err.startswith("resource guard:")
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "8")
         assert code == 1 and "needs" in err
+
+
+# Each flag takes a value from one pool, or is left out: negative, zero, small,
+# the values that once raised (--ell 300, --s-max 1000, --s 10**15) and
+# non-numeric.  Every value either finishes within about a second or meets a
+# guard.
+ARGV_POOL = ["-1", "0", "0.3", "2", "3", "8", "300", "1000", str(10**15), "x", None]
+FLAGS = {
+    "bounds": ["--n", "--k", "--j", "--epsilon", "--ell", "--a", "--s", "--constant"],
+    "enumerate": ["--k", "--j", "--n", "--s-max"],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bounds_and_enumerate_exit_cleanly(data):
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    values = {flag: data.draw(st.sampled_from(ARGV_POOL)) for flag in FLAGS[command]}
+    # half the draws order integer n, k, j as n >= k >= j, so that more of
+    # them pass validation and reach the costly paths
+    trio = [values[flag] for flag in ("--n", "--k", "--j")]
+    if data.draw(st.booleans()) and all(v and v.lstrip("-").isdigit() for v in trio):
+        values["--n"], values["--k"], values["--j"] = sorted(trio, key=int, reverse=True)
+    argv = [command]
+    if command == "bounds":
+        which = ["wheel", "laplace", "rs", "cs", "unicycle"]
+        argv += ["--which", data.draw(st.sampled_from(which))]
+    for flag, value in values.items():
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:" if code == 1 else "resource guard:")
 
 
 class TestExperiment:

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from hyperlab.combinatorics import TheoryParams
 from hyperlab.enumeration import (
+    MAX_BOUND_S,
     RationalSeries,
+    _log_b_s,
     b_s,
     brute_force_Bs,
     enum_report,
@@ -238,6 +240,20 @@ class TestLaplace:
 
 
 class TestProbabilityBounds:
+    def test_log_b_s_matches_exact_count(self):
+        for n, k, j in [(60, 3, 2), (250, 3, 2), (40, 2, 1), (30, 4, 2), (20, 4, 3)]:
+            params = TheoryParams(n, k, j, 0.3)
+            for s in (1, 2, 3, 7, 50, 200):
+                exact = b_s(params, s)
+                log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+                assert _log_b_s(params, s) == pytest.approx(log_exact, rel=1e-14)
+
+    def test_bounds_beyond_s_limit_refused(self):
+        params = TheoryParams(60, 3, 2, 0.3)
+        assert 0.0 <= expected_Rs_upper(params, MAX_BOUND_S) < 1e-300
+        with pytest.raises(ResourceLimitError):
+            expected_Cs_lower_reference(params, MAX_BOUND_S + 1)
+
     def test_rs_degenerate_exponent(self):
         # n = k = 2: the (1-p) exponent is zero and the bound is B_1 * p
         params = TheoryParams(2, 2, 1, 0.4)

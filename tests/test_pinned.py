@@ -5,8 +5,9 @@ visits edges and j-sets, but search traces, wheel witnesses, component ids
 and the j-set map's insertion order do.  Each test hashes one such output
 on a seeded sample, so any change of visiting order shows up here.  The
 grid pins at the end hold the sampler's edges and the whole decomposition
-over many seeded samples, so that a faster implementation of either must
-reproduce them byte for byte.
+over many seeded samples, and the branching process's trees and capped
+coupled runs, so that a faster or smaller implementation of any of them
+must reproduce them byte for byte.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import math
 from hyperlab.cli import main
 from hyperlab.combinatorics import TheoryParams, rank_subset
 from hyperlab.hypergraph import j_components, sample, write_hypergraph
-from hyperlab.processes import coupled_run, format_trace, search_component
+from hyperlab.processes import branching_with_rate, coupled_run, format_trace, search_component
 from hyperlab.rng import trial_seed
 
 PARAMS = TheoryParams(40, 3, 2, 0.3)
@@ -134,3 +135,55 @@ def test_decomposition_grid_pinned():
         parts.extend(repr((c.id, c.wheel_witness.edges, c.wheel_witness.jsets))
                      for c in comps if c.wheel_witness is not None)
     assert digest("\n".join(parts)) == GRID_DIGESTS["components"]
+
+
+# -- branching process and coupling over a seeded grid --------------------------
+#
+# Trees pin the two-type process's RNG stream (one uniform per candidate k-set
+# per popped type-j vertex, in breadth-first order) and the order in which
+# successes join the tree.  Supercritical cases run at 2.5 * p0 under a cap,
+# and p = 1 under cap = 10 truncates at once.  Coupled runs use cap = 5, which
+# many of them reach.
+BRANCHING_DIGESTS = {
+    "trees": "f31f0f28a50ea01a9a02ab5fef7cd274c9c36ccbfd6da1c3ddc7b7ea78c46870",
+    "coupled_capped": "e2e9a4e707447026be35604a32bf69a6e8180ffa843f14019939f2a14309a0b5",
+}
+
+
+def branching_cases():
+    cases = []
+    for k, j in GRID_PAIRS:
+        for n in (12, 30, 60):
+            p0 = TheoryParams(n, k, j, 0.3).p0
+            for mult, cap in ((0.7, 1000), (2.5, 200)):
+                for s in range(2):
+                    root = tuple(range(s + 1, s + j + 1))
+                    seed = trial_seed(n * k + j, s)
+                    cases.append((n, k, j, min(1.0, mult * p0), root, seed, cap))
+        cases.append((12, k, j, 1.0, tuple(range(1, j + 1)), 3, 10))
+    return cases
+
+
+def test_branching_grid_pinned():
+    parts = []
+    truncated = 0
+    for n, k, j, p, root, seed, cap in branching_cases():
+        t = branching_with_rate(n, k, j, p, root, seed, cap)
+        truncated += t.truncated
+        parts.append(repr((t.types, t.labels, t.parents, t.truncated)))
+    assert truncated >= 5
+    assert digest("\n".join(parts)) == BRANCHING_DIGESTS["trees"]
+
+
+def test_coupled_run_capped_grid_pinned():
+    results = []
+    for k, j in GRID_PAIRS:
+        for n in (12, 30, 60):
+            params = TheoryParams(n, k, j, 0.3)
+            for mult in (0.7, 2.5):
+                for s in range(3):
+                    h = sample(n, k, min(1.0, mult * params.p0), trial_seed(n + 7 * k + j, s))
+                    start = h.edges[0][:j] if h.edges else tuple(range(1, j + 1))
+                    results.append(coupled_run(h, params, start, trial_seed(53, s), cap=5))
+    assert sum(branch == 5 for _, branch in results) >= 5
+    assert digest(repr(results)) == BRANCHING_DIGESTS["coupled_capped"]
