@@ -21,9 +21,9 @@ from .enumeration import (
     expected_Cs_lower_reference,
     expected_Rs_upper,
     laplace_sum_check,
+    log_wheel_bound,
     unicycle_bound,
     wheel_bound_exact,
-    wheel_constant,
 )
 from .errors import ResourceLimitError, ValidationError
 from .experiments import (
@@ -52,11 +52,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _frac(x: Fraction) -> str:
+def _str(x: int) -> str:
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError as exc:  # longer than sys.get_int_max_str_digits()
         raise ResourceLimitError(f"exact value too long to print: {exc}") from exc
+
+
+def _frac(x: Fraction) -> str:
+    return f"{_str(x.numerator)}/{_str(x.denominator)}"
 
 
 def _read_text(path: str) -> str:
@@ -144,8 +148,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_components(args) -> int:
     h = read_hypergraph(_read_text(args.infile))
+    # C(n, j) >= (n/j)^j: refuse before the decomposition, and before
+    # computing a count that cannot print (j_components reports a bad j)
+    limit = sys.get_int_max_str_digits()
+    if limit and 1 <= args.j < h.k and args.j * (math.log10(h.n) - math.log10(args.j)) > limit + 1:
+        raise ResourceLimitError(f"the isolated j-set count would print over {limit} digits")
     comps, jset_map = j_components(h, args.j)
-    isolated = binomial(h.n, args.j) - len(jset_map)
+    isolated = _str(binomial(h.n, args.j) - len(jset_map))
     print("id size order hypertree")
     for c in comps:
         print(f"{c.id} {c.size} {c.order} {'yes' if c.is_hypertree else 'no'}")
@@ -197,14 +206,10 @@ def _cmd_bounds(args) -> int:
     if args.which == "wheel":
         _require(args, ["n", "k", "j", "ell"])
         n, k, j, ell = args.n, args.k, args.j, args.ell
-        if ell >= 2 and n >= k > j >= 1:  # else wheel_bound_exact reports the bad argument
-            # refuse in log space before the exact power of 1/p0; near the edge float(bound) decides
-            cw = wheel_constant(k, j)
-            log_bound = (math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
-                         + (ell - 1) * math.log((math.comb(k, j) - 1) * math.comb(n - j, k - j))
-                         - math.log(ell))
-            if log_bound > math.log(sys.float_info.max) + 1:
-                raise ValidationError(f"the wheel bound e^{log_bound:.6g} is past the float range")
+        # refuse in log space before the exact power of 1/p0; near the edge float(bound) decides
+        log_bound = log_wheel_bound(n, k, j, ell)
+        if log_bound > math.log(sys.float_info.max) + 1:
+            raise ValidationError(f"the wheel bound e^{log_bound:.6g} is past the float range")
         cw, bound = wheel_bound_exact(n, k, j, ell)
         try:
             lines = [f"c_w={_frac(cw)}", f"wheel_bound={float(bound):.10g}"]

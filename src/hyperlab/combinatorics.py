@@ -90,7 +90,8 @@ def colex_dtype(n: int, size: int) -> type:
     below 2**62, so that ranks, binomial tables and the products inside
     `_comb_array` cannot overflow; object (exact Python ints) beyond that.
     """
-    return np.int64 if math.comb(n, min(size, n // 2)) * size < 2**62 else object
+    r = min(size, n // 2)  # C(n, r) >= 2^r, so r >= 62 needs no exact C(n, r)
+    return np.int64 if r < 62 and math.comb(n, r) * size < 2**62 else object
 
 
 def _comb_array(x: np.ndarray, r: int) -> np.ndarray:
@@ -171,8 +172,13 @@ class TheoryParams:
             raise ValidationError(f"n must be >= k, got n={self.n}, k={self.k}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        c0 = math.comb(self.k, self.j) - 1
+        pairs = ((self.k, self.j), (self.n - self.j, self.k - self.j), (self.n, self.j))
         try:
+            # C(m, r) >= 2^min(r, m-r), so from 1024 on it passes the float
+            # range for certain and its costly exact value is never formed
+            if max(min(r, m - r) for m, r in pairs) >= 1024:
+                raise OverflowError
+            c0 = math.comb(self.k, self.j) - 1
             p0 = 1.0 / (c0 * math.comb(self.n - self.j, self.k - self.j))
             lam = self.epsilon**3 * math.comb(self.n, self.j)
         except OverflowError as exc:

@@ -174,16 +174,17 @@ def f_s(c0: int, s: int) -> Fraction:
         raise ValidationError(f"s must be >= 1, got {s}")
     if c0 < 1:
         raise ValidationError(f"c0 must be >= 1, got {c0}")
-    num = sum(
-        c0 ** (s - r) * s ** (s - r) * r * math.comb(s, r) for r in range(1, s + 1)
-    )
+    num = sum((c0 * s) ** (s - r) * r * math.comb(s, r) for r in range(1, s + 1))
     return Fraction(num, math.factorial(s) * s)
 
 
 def b_s(params: TheoryParams, s: int) -> Fraction:
     """Labelled count: B_s = C(n, j) * C(n-j, k-j)^s * F_s, exact."""
-    scale = math.comb(params.n, params.j) * params.supersets_per_jset**s
-    return scale * f_s(params.c0, s)
+    return _labelled(params, s, f_s(params.c0, s))
+
+
+def _labelled(params: TheoryParams, s: int, fs: Fraction) -> Fraction:
+    return math.comb(params.n, params.j) * params.supersets_per_jset**s * fs
 
 
 def exp_reciprocal_bounds(c0: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -229,7 +230,7 @@ def enum_report(
     return EnumReport(
         s=s,
         f_s=fs_val,
-        b_s=b_s(params, s),
+        b_s=_labelled(params, s, fs_val),
         lower=lower,
         upper=upper,
         bounds_hold=lower <= fs_val <= upper,
@@ -312,17 +313,27 @@ def wheel_constant(k: int, j: int) -> Fraction:
     return cw
 
 
-def wheel_bound_exact(n: int, k: int, j: int, ell: int) -> tuple[Fraction, Fraction]:
-    """Exact rational form of the wheel-count bound c_w n^(k-j) / (p0^(ell-1) ell)."""
+def _wheel_factors(n: int, k: int, j: int, ell: int) -> tuple[Fraction, int]:
+    # c_w and 1/p0 = c0 C(n-j, k-j), the factors of the wheel-count bound
     if ell < 2:
         raise ValidationError(f"wheel length must be >= 2, got {ell}")
     if not (k >= 2 and 1 <= j <= k - 1 and n >= k):
         raise ValidationError(f"need n >= k > j >= 1, got n={n}, k={k}, j={j}")
-    cw = wheel_constant(k, j)
-    c0 = math.comb(k, j) - 1
-    inv_p0 = c0 * math.comb(n - j, k - j)
-    bound = cw * n ** (k - j) * inv_p0 ** (ell - 1) / ell
-    return cw, bound
+    return wheel_constant(k, j), (math.comb(k, j) - 1) * math.comb(n - j, k - j)
+
+
+def wheel_bound_exact(n: int, k: int, j: int, ell: int) -> tuple[Fraction, Fraction]:
+    """Exact rational form of the wheel-count bound c_w n^(k-j) / (p0^(ell-1) ell)."""
+    cw, inv_p0 = _wheel_factors(n, k, j, ell)
+    return cw, cw * n ** (k - j) * inv_p0 ** (ell - 1) / ell
+
+
+def log_wheel_bound(n: int, k: int, j: int, ell: int) -> float:
+    """Natural log of the `wheel_bound_exact` bound, in floats: it costs no
+    exact power, so it can decide whether the bound fits a float."""
+    cw, inv_p0 = _wheel_factors(n, k, j, ell)
+    return (math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
+            + (ell - 1) * math.log(inv_p0) - math.log(ell))
 
 
 class LaplaceCheck(NamedTuple):

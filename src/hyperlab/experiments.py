@@ -31,6 +31,10 @@ from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_EDGE_BUDGET = 5_000_000
+# Largest trial count and top-m rank count: a run holds trials * m ranks in
+# memory, and MAX_TRIALS (250, 3, 2) trials take about 20 minutes at 12 ms each.
+MAX_TRIALS = 100_000
+MAX_M = 100
 # informational cutoff for "large" asymptotic proxies reported in summaries
 REGIME_PROXY_MIN = 10.0
 
@@ -59,6 +63,9 @@ class ExperimentConfig:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if self.cap < 1:
             raise ValidationError(f"cap must be >= 1, got {self.cap}")
+        if self.trials > MAX_TRIALS or self.m > MAX_M:
+            raise ResourceLimitError(f"need trials <= {MAX_TRIALS} and m <= {MAX_M}, "
+                                     f"got trials={self.trials}, m={self.m}")
 
     def params(self) -> TheoryParams:
         return TheoryParams(self.n, self.k, self.j, self.epsilon)
@@ -122,8 +129,8 @@ def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
 
 def check_edge_budget(n: int, k: int, p: float, cap: int = DEFAULT_EDGE_BUDGET) -> None:
     """Refuse to sample H^k(n, p) when its expected edge count exceeds `cap`."""
-    try:
-        expected = math.comb(n, k) * p
+    try:  # C(n, k) >= 2^min(k, n-k) passes the float range from 1024 on
+        expected = math.inf if min(k, n - k) >= 1024 else math.comb(n, k) * p
     except OverflowError:  # C(n, k) beyond the float range
         expected = math.inf
     if expected > cap:

@@ -12,9 +12,10 @@ colex ranks, and unranks them all at once (`unrank_array`).  `Hypergraph`
 checks the whole edge list in a few array operations.  `j_components`
 ranks every j-subset of every edge into one array (`rank_array`) and finds
 connected components of the incidence graph by hook-and-shortcut.  Only
-wheel finding, the component search and coupling walk tuples: they index
-the incidence graph as a map from each j-set to its edges (`jset_index`)
-and search it depth- or breadth-first.
+wheel finding, the component search and coupling walk tuples, all with
+one traversal, `walk`, over a map from each j-set to its edges
+(`jset_index`): wheel finding pops its frontier depth-first and stops at
+the first arc that closes a cycle, the search pops it breadth-first.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -25,9 +26,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -132,6 +134,9 @@ class ComponentSummary:
 _BLOCK = 1 << 16
 # Largest n * k for which `sample` builds its colex tables (32 MiB of int64).
 MAX_TABLE_CELLS = 1 << 22
+# Largest per-edge j-subset template of `j_components`, C(k, j) rows of j
+# cells; the m copies it is gathered into are bounded by the edge budget.
+MAX_TEMPLATE_CELLS = 1 << 24
 
 
 def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -151,8 +156,12 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     if p == 0.0:
         return Hypergraph(n, k, ())
     if n * k > MAX_TABLE_CELLS:
+        try:
+            cells = str(n * k)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            cells = "n * k"
         raise ResourceLimitError(
-            f"sampling at n={n}, k={k} needs colex tables of {n * k} entries, "
+            f"sampling at n={n}, k={k} needs colex tables of {cells} entries, "
             f"more than {MAX_TABLE_CELLS}"
         )
     total = math.comb(n, k)
@@ -200,6 +209,8 @@ def _first_invalid_edge(edges, n: int, k: int) -> int:
     # ascent within [1, n] or strictly increasing colex order; len(edges)
     # when none does.  Each check runs on the prefix the previous one passed.
     end = _first_false(np.fromiter(map(len, edges), np.intp, len(edges)) == k)
+    if not end:  # also keeps a k past numpy's dimension range out of the shapes below
+        return 0
     flat = list(chain.from_iterable(edges[:end]))
     is_int = np.fromiter(map(isinstance, flat, repeat(int)), bool, len(flat))
     end = _first_false(is_int.reshape(end, k).all(axis=1))
@@ -238,6 +249,29 @@ def jset_index(
     return index
 
 
+def walk(index: dict, j: int, start: tuple, parent: dict, lifo: bool = False) -> Iterator:
+    """Traverse the incidence graph `index` from `start`, a j-set or an edge.
+
+    A j-set's neighbours are its edges in `index`, an edge's its j-subsets.
+    Nodes are marked when pushed, and `parent` maps each to the node that
+    pushed it (`start` to None).  Yields (u, None) per pop, in pop order,
+    and (u, v) per arc to a marked v other than parent[u], closing a cycle.
+    The frontier is a queue, or with `lifo` a stack.
+    """
+    parent[start] = None
+    frontier = deque([start])
+    pop = frontier.pop if lifo else frontier.popleft
+    while frontier:
+        u = pop()
+        yield u, None
+        for v in (index.get(u, ()) if len(u) == j else combinations(u, j)):
+            if v not in parent:
+                parent[v] = u
+                frontier.append(v)
+            elif v != parent[u]:
+                yield u, v
+
+
 def j_components(
     h: Hypergraph, j: int
 ) -> tuple[list[ComponentSummary], dict[int, int]]:
@@ -252,6 +286,11 @@ def j_components(
     if not 1 <= j <= h.k - 1:
         raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
     m = len(h.edges)
+    # C(k, j) >= 2^min(j, k-j), so from 24 on the cap is passed without C(k, j)
+    if min(j, h.k - j) >= 24 or math.comb(h.k, j) * j > MAX_TEMPLATE_CELLS:
+        raise ResourceLimitError(
+            f"the j-subsets of one edge at (k, j) = ({h.k}, {j}) exceed {MAX_TEMPLATE_CELLS} cells"
+        )
     c0 = math.comb(h.k, j) - 1
     edges = np.fromiter(chain.from_iterable(h.edges), colex_dtype(h.n, j), m * h.k)
     edges = edges.reshape(m, h.k)
@@ -306,42 +345,25 @@ def find_wheel(
     """
     if not component_edges:
         return None
-    # Depth-first search of the incidence graph from the first edge.  Nodes
-    # are edges and j-sets, told apart by length; any non-tree edge of the
-    # search closes an alternating cycle, which is a wheel.
-    index = jset_index(component_edges, j)
-    start = component_edges[0]
-    parent: dict[tuple, Optional[tuple]] = {start: None}
-    depth = {start: 0}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in (index[u] if len(u) == j else combinations(u, j)):
-            if v not in depth:
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                stack.append(v)
-            elif v != parent[u]:
-                return _wheel_from_cycle(u, v, parent, depth, j)
+    # a depth-first walk: its first non-tree arc closes an alternating cycle, a wheel
+    parent: dict[tuple, Optional[tuple]] = {}
+    for u, v in walk(jset_index(component_edges, j), j, component_edges[0], parent, lifo=True):
+        if v is not None:
+            return _wheel_from_cycle(u, v, parent, j)
     return None
 
 
-def _wheel_from_cycle(u: tuple, v: tuple, parent: dict, depth: dict, j: int) -> Wheel:
-    # non-tree edge (u, v): the cycle runs through the lowest common ancestor
-    up_u, up_v = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        up_u.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        up_v.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        up_u.append(a)
-        up_v.append(b)
-    path = up_u + up_v[-2::-1]  # u..lca + (lca..v reversed, lca dropped)
+def _wheel_from_cycle(u: tuple, v: tuple, parent: dict, j: int) -> Wheel:
+    # non-tree arc (u, v): the cycle runs from u up to the lowest common
+    # ancestor, the first ancestor of v that is also one of u
+    up_u = [u]
+    while parent[up_u[-1]] is not None:
+        up_u.append(parent[up_u[-1]])
+    on_u = {x: i for i, x in enumerate(up_u)}
+    up_v = [v]
+    while up_v[-1] not in on_u:
+        up_v.append(parent[up_v[-1]])
+    path = up_u[:on_u[up_v[-1]] + 1] + up_v[-2::-1]  # u..lca + (lca..v reversed, lca dropped)
     if len(path[0]) == j:
         path = path[1:] + path[:1]
     edges = tuple(x for x in path if len(x) != j)

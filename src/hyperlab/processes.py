@@ -1,7 +1,8 @@
 """Component search, the two-type branching process, and their coupling.
 
-The search explores one j-component of a hypergraph breadth-first: popping
-a j-set queries every k-set containing it, popping a k-set activates its
+The search explores one j-component of a hypergraph with a breadth-first
+`hypergraph.walk`, as `coupled_run` does to size it: popping a j-set
+queries every k-set containing it, popping a k-set activates its
 undiscovered j-subsets.  The branching process mirrors the search but
 never skips: every type-j vertex queries all C(n-j, k-j) candidate k-sets
 independently with probability p, and each spawned type-k vertex attaches
@@ -32,7 +33,7 @@ import numpy as np
 
 from .combinatorics import TheoryParams, rank_subset, unrank_subset
 from .errors import ValidationError
-from .hypergraph import Hypergraph, jset_index
+from .hypergraph import Hypergraph, jset_index, walk
 from .rng import make_generator
 
 DEFAULT_CAP = 1_000_000
@@ -107,37 +108,12 @@ def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
     if not 1 <= j <= h.k - 1:
         raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
     start = _validate_jset(start, h.n, j)
-    return _search(jset_index(h.edges, j), j, start)
-
-
-def _search(index: dict, j: int, start: tuple[int, ...]) -> SearchTrace:
-    # The edges containing a fixed j-set, in colex order, are already in
-    # colex order of their complements, so each index list is scanned as is.
-    discovered_j = {start}
-    discovered_k: set[tuple[int, ...]] = set()
-    queue: deque[tuple[str, tuple[int, ...]]] = deque([("J", start)])
-    pops: list[tuple[str, tuple[int, ...]]] = []
-    while queue:
-        kind, label = queue.popleft()
-        pops.append((kind, label))
-        if kind == "J":
-            for e in index.get(label, ()):
-                if e not in discovered_k:
-                    discovered_k.add(e)
-                    queue.append(("K", e))
-        else:
-            for sub in combinations(label, j):
-                if sub not in discovered_j:
-                    discovered_j.add(sub)
-                    queue.append(("J", sub))
-    return SearchTrace(
-        start=start,
-        pops=pops,
-        size=len(discovered_k),
-        order=len(discovered_j),
-        discovered_jsets=frozenset(discovered_j),
-        discovered_ksets=frozenset(discovered_k),
-    )
+    parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+    pops = [("J" if len(u) == j else "K", u)
+            for u, v in walk(jset_index(h.edges, j), j, start, parent) if v is None]
+    ksets = frozenset(u for u in parent if len(u) != j)
+    return SearchTrace(start=start, pops=pops, size=len(ksets), order=len(parent) - len(ksets),
+                       discovered_jsets=frozenset(parent.keys() - ksets), discovered_ksets=ksets)
 
 
 def format_trace(trace: SearchTrace) -> list[str]:
@@ -217,7 +193,7 @@ def coupled_run(
     if (h.n, h.k) != (params.n, params.k):
         raise ValidationError("hypergraph and params disagree on (n, k)")
     index = jset_index(h.edges, j)
-    component_size = _search(index, j, start).size
+    component_size = sum(len(u) != j for u, v in walk(index, j, start, {}) if v is None)
     expanded: set[tuple[int, ...]] = set()
 
     def queried_before(klabel: tuple[int, ...]) -> bool:

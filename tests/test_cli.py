@@ -1,9 +1,12 @@
 import contextlib
 import io
+import os
+import resource
 import subprocess
 import sys
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import experiments
@@ -245,6 +248,108 @@ def test_bounds_and_enumerate_exit_cleanly(data):
         assert err.getvalue().startswith("error:" if code == 1 else "resource guard:")
 
 
+# gen, components and experiment draw every flag, and every components
+# header field, from RUN_POOL or, in half the examples, from a pool of
+# values of the flag's type, so that more of them pass validation.  Every
+# value either finishes within a tenth of a second or meets a guard; 10**14
+# and 10**15 reach binomials whose exact value once never returned, and
+# 10**2200 an isolated j-set count too long to print.
+HUGE_INTS = [str(10**14), str(10**15), str(10**2200)]
+RUN_POOL = ["-1", "0", "0.3", "2", "3", "5", "12", *HUGE_INTS, "x", None]
+TYPED_POOLS = {"--p": ["0", "0.3", "1"], "--epsilon": ["0.3", "0.9"]}
+INT_POOL = ["1", "2", "3", "5", "12", *HUGE_INTS]
+RUN_FLAGS = {
+    "gen": ["--n", "--k", "--j", "--p", "--epsilon", "--seed"],
+    "components": ["--n", "--k", "--m", "--j"],  # n, k, m form the file's header
+    "experiment": ["--n", "--k", "--j", "--epsilon", "--trials", "--m", "--base-seed", "--cap"],
+}
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_gen_components_and_experiment_exit_cleanly(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(RUN_FLAGS)))
+    typed = data.draw(st.booleans())
+    values = {
+        flag: data.draw(st.sampled_from(TYPED_POOLS.get(flag, INT_POOL) if typed else RUN_POOL))
+        for flag in RUN_FLAGS[command]
+    }
+    if typed:  # n > k > j, so that more of them reach the costly paths
+        trio = data.draw(st.lists(st.sampled_from(INT_POOL), min_size=3, max_size=3, unique=True))
+        values["--n"], values["--k"], values["--j"] = sorted(trio, key=int, reverse=True)
+    argv = [command]
+    if command == "components":
+        if data.draw(st.booleans()):
+            values["--m"] = "0"  # the file holds no edge lines
+        header = [values.pop(flag) for flag in ("--n", "--k", "--m")]
+        path = tmp_path / "h.txt"
+        path.write_text(" ".join(v for v in header if v is not None) + "\n")
+        argv += ["--in", str(path)] + (["--wheels"] if data.draw(st.booleans()) else [])
+    elif command == "gen":
+        del values[data.draw(st.sampled_from(["--p", "--epsilon"]))]  # gen takes one of them
+        argv += ["--out", str(tmp_path / "out.txt")]
+    for flag, value in values.items():
+        if value is not None:
+            argv += [flag, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (1, 3):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:" if code == 1 else "resource guard:")
+
+
+# Each refusal runs in a child process under a 2 GiB address-space cap, so a
+# runaway exact product fails fast instead of filling memory (one BLAS or
+# OpenMP thread keeps numpy's own reservation small), and the subprocess
+# timeout catches a hang.  A child that cannot import hyperlab under the cap
+# exits with IMPORT_FAILED and the case is skipped.
+IMPORT_FAILED = 99
+CHILD = ("import sys\ntry:\n    from hyperlab.cli import main\n"
+         f"except Exception:\n    sys.exit({IMPORT_FAILED})\n"
+         "sys.exit(main(sys.argv[1:]))\n")
+BIG, HUGE = HUGE_INTS[:2]
+EXP = ["experiment", "--n", "40", "--k", "3", "--j", "2", "--epsilon", "0.3"]
+REFUSALS = {
+    "components_isolated_count_past_digit_limit":
+        (["components", "--in", "{header}", "--j", "2"], f"{10**2200} 3 0", 3),
+    "components_subset_template_past_cap": (["components", "--in", "{header}", "--j", "1000"],
+                                         "3000 2000 0", 3),
+    "gen_budget_huge_n_k": (["gen", "--n", HUGE, "--k", BIG, "--p", "0.5", "--out", "{out}"],
+                            None, 3),
+    "gen_epsilon_huge_n_k": (["gen", "--n", HUGE, "--k", BIG, "--j", "1", "--epsilon", "0.3",
+                              "--out", "{out}"], None, 1),
+    "bounds_rs_huge_n_k": (["bounds", "--which", "rs", "--n", HUGE, "--k", BIG, "--j", "1",
+                            "--epsilon", "0.3", "--s", "3"], None, 1),
+    "experiment_huge_n_k": (["experiment", "--n", HUGE, "--k", BIG, "--j", "1",
+                             "--epsilon", "0.3", "--trials", "1"], None, 1),
+    "experiment_huge_m": (EXP + ["--trials", "1", "--m", HUGE], None, 3),
+    "experiment_huge_trials": (EXP + ["--trials", HUGE], None, 3),
+}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_huge_arguments_refused_without_hanging(name, tmp_path):
+    argv, header, expected = REFUSALS[name]
+    if header is not None:
+        (tmp_path / "h.txt").write_text(header + "\n")
+    argv = [a.format(header=tmp_path / "h.txt", out=tmp_path / "out.txt") for a in argv]
+    threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
+                          timeout=30, preexec_fn=_cap_address_space, env={**os.environ, **threads})
+    if proc.returncode == IMPORT_FAILED:
+        pytest.skip("hyperlab does not import under a 2 GiB address-space cap")
+    assert proc.returncode == expected and proc.stdout == ""
+    assert proc.stderr.startswith("error:" if expected == 1 else "resource guard:")
+    assert "Traceback" not in proc.stderr
+
+
 class TestExperiment:
     ARGS = ["experiment", "--n", "40", "--k", "3", "--j", "2", "--epsilon", "0.3",
             "--trials", "5", "--m", "2", "--base-seed", "77"]
@@ -347,6 +452,14 @@ class TestExperiment:
         )
         assert code == 2
         assert "criterion centered_spread: FAIL" in out
+
+    def test_trials_and_m_capped(self, capsys):
+        args = ["experiment", "--n", "12", "--k", "3", "--j", "2", "--epsilon", "0.3"]
+        for extra in (["--trials", str(experiments.MAX_TRIALS + 1)],
+                      ["--trials", "1", "--m", str(experiments.MAX_M + 1)]):
+            code, out, err = run_cli(capsys, *args, *extra)
+            assert code == 3 and out == "" and err.startswith("resource guard:")
+        assert run_cli(capsys, *args, "--trials", "1", "--m", str(experiments.MAX_M))[0] == 0
 
     def test_resource_guard_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n", "400", "--k", "3", "--j", "2",

@@ -122,6 +122,8 @@ def test_colex_dtype_switches_to_python_ints():
     assert colex_dtype(250, 3) is np.int64
     assert colex_dtype(100, 20) is object
     assert colex_dtype(100, 90) is object  # C(100, 50) bounds the tables of C(x, i), i <= 90
+    assert colex_dtype(10**2200, 1) is object
+    assert colex_dtype(10**2200, 1000) is object  # C(n, r) >= 2**r: no exact C(n, 1000)
 
 
 def test_rank_rejects_unsorted_and_duplicates():

@@ -19,6 +19,7 @@ from hyperlab.enumeration import (
     f_s,
     lambert_power_coefficients,
     laplace_sum_check,
+    log_wheel_bound,
     predicted_L1,
     predicted_M1,
     tj_series_fixed_point,
@@ -221,6 +222,13 @@ class TestWheelBound:
     def test_rejects_short_wheels(self):
         with pytest.raises(ValidationError):
             wheel_bound_exact(8, 3, 2, 1)
+        with pytest.raises(ValidationError):
+            log_wheel_bound(8, 3, 2, 1)
+
+    def test_log_bound_matches_exact_bound(self):
+        for n, k, j, ell in [(8, 3, 2, 3), (30, 4, 2, 5), (60, 2, 1, 7), (12, 4, 3, 2)]:
+            _, bound = wheel_bound_exact(n, k, j, ell)
+            assert log_wheel_bound(n, k, j, ell) == pytest.approx(math.log(bound), rel=1e-12)
 
 
 class TestLaplace:

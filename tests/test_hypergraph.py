@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperlab import hypergraph
 from hyperlab.combinatorics import TheoryParams, rank_subset
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import (
@@ -16,8 +17,10 @@ from hyperlab.hypergraph import (
     brute_force_wheel_census,
     find_wheel,
     j_components,
+    jset_index,
     read_hypergraph,
     sample,
+    walk,
     write_hypergraph,
 )
 from hyperlab.rng import trial_seed
@@ -79,8 +82,10 @@ class TestSampling:
             sample(10, 3, 1.5, 0)
 
     def test_refuses_tables_beyond_the_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=f"tables of {MAX_TABLE_CELLS + 2} entries"):
             sample(MAX_TABLE_CELLS // 2 + 1, 2, 1e-15, 0)
+        with pytest.raises(ResourceLimitError, match=r"tables of n \* k entries"):
+            sample(10**2200, 10**2200, 1e-15, 0)  # n * k is past the digit limit
 
 
 class TestHypergraphType:
@@ -95,6 +100,12 @@ class TestHypergraphType:
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValidationError):
             Hypergraph(5, 3, ((1, 2, 9),))
+
+    def test_arity_past_numpy_dimensions(self):
+        big = 10**2200
+        assert Hypergraph(big, big, ()).edges == ()
+        with pytest.raises(ValidationError, match="arity"):
+            Hypergraph(big, big, ((1, 2, 3),))
 
     def test_from_edges_sorts_by_rank(self):
         h = Hypergraph.from_edges(5, 3, [[1, 3, 4], [3, 2, 1]])
@@ -235,6 +246,23 @@ class TestJComponents:
         with pytest.raises(ValidationError):
             j_components(h, 3)
 
+    def test_refuses_subset_templates_beyond_the_cap(self):
+        # C(2000, 1000) j-subsets per edge, and C(10**15, 3) of them
+        for h, j in [(Hypergraph(3000, 2000, ()), 1000), (Hypergraph(10**15, 10**15, ()), 3)]:
+            with pytest.raises(ResourceLimitError):
+                j_components(h, j)
+
+    def test_cap_is_per_edge_not_per_sample(self, monkeypatch):
+        # the edge budget bounds m: a template of C(4, 3) * 3 = 12 cells
+        # passes a cap of 12 however many edges share it
+        h = sample(12, 4, 1.0, 0)
+        monkeypatch.setattr(hypergraph, "MAX_TEMPLATE_CELLS", 12)
+        comps, _ = j_components(h, 3)
+        assert [c.size for c in comps] == [495]
+        monkeypatch.setattr(hypergraph, "MAX_TEMPLATE_CELLS", 11)
+        with pytest.raises(ResourceLimitError):
+            j_components(h, 3)
+
     def test_sizes_partition_edges(self):
         params = TheoryParams(40, 3, 2, 0.3)
         for seed in range(20):
@@ -265,6 +293,37 @@ class TestJComponents:
                     size = sum(1 for e in h.edges if set(e) <= comp_vertices)
                     assert comps[cid].size == size
                     assert comps[cid].order == len(comp_vertices)
+
+
+class TestWalk:
+    WHEEL = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]  # every two edges share a 2-set
+
+    def test_breadth_first_pops_parents_and_cycle_arcs(self):
+        parent = {}
+        events = list(walk(jset_index(self.WHEEL, 2), 2, (1, 2), parent))
+        assert [u for u, v in events if v is None] == [
+            (1, 2), (1, 2, 3), (1, 2, 4), (1, 3), (2, 3), (1, 4), (2, 4), (1, 3, 4), (3, 4)]
+        # (1, 3, 4) was pushed from (1, 3), so its arcs to (1, 4) close the cycle
+        assert [(u, v) for u, v in events if v is not None] == [
+            ((1, 4), (1, 3, 4)), ((1, 3, 4), (1, 4))]
+        assert parent[(1, 2)] is None and parent[(1, 3, 4)] == (1, 3)
+        assert parent[(3, 4)] == (1, 3, 4) and len(parent) == 9
+
+    def test_depth_first_from_an_edge(self):
+        events = list(walk(jset_index(self.WHEEL, 2), 2, (1, 2, 3), {}, lifo=True))
+        assert [u for u, v in events if v is None] == [
+            (1, 2, 3), (2, 3), (1, 3), (1, 3, 4), (3, 4), (1, 4), (1, 2, 4), (2, 4), (1, 2)]
+        assert next((u, v) for u, v in events if v is not None) == ((1, 2, 4), (1, 2))
+
+    def test_hypertree_has_no_cycle_arc(self):
+        edges = [(1, 2, 3), (2, 3, 4), (3, 4, 5)]
+        for lifo in (False, True):
+            parent = {}
+            events = list(walk(jset_index(edges, 2), 2, (2, 3), parent, lifo=lifo))
+            assert all(v is None for _, v in events) and len(events) == len(parent) == 10
+
+    def test_unindexed_jset_is_popped_alone(self):
+        assert list(walk(jset_index(self.WHEEL, 2), 2, (5, 6), {})) == [((5, 6), None)]
 
 
 class TestWheels:
