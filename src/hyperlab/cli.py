@@ -12,7 +12,9 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from fractions import Fraction
+from typing import get_type_hints
 
 from .combinatorics import TheoryParams, binomial
 from .enumeration import (
@@ -29,6 +31,7 @@ from .errors import ResourceLimitError, ValidationError
 from .experiments import (
     ExperimentConfig,
     check_edge_budget,
+    check_verdict_limits,
     compare_to_theory,
     csv_lines,
     format_summary,
@@ -44,6 +47,10 @@ EXIT_RESOURCE = 3
 
 # Largest --s-max of `enumerate`: row s sums s big-integer terms; 700 rows take 6 s.
 MAX_ENUM_S = 1000
+# ExperimentConfig's fields, in the order `experiment --help` lists them: each
+# is both an `experiment` flag (base_seed -> --base-seed) and a config-file key.
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
+_REQUIRED = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +82,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hyperlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_gen = sub.add_parser("gen", help="sample a hypergraph to a file")
+    p_gen, p_comp, p_enum, p_bounds, p_exp = (
+        sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items())
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--k", type=int, required=True)
     p_gen.add_argument("--p", type=float, default=None, help="explicit edge probability")
@@ -86,40 +94,23 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
 
-    p_comp = sub.add_parser("components", help="decompose a hypergraph file into j-components")
     p_comp.add_argument("--in", dest="infile", required=True)
     p_comp.add_argument("--j", type=int, required=True)
     p_comp.add_argument("--wheels", action="store_true",
                         help="print a wheel witness per non-hypertree component")
 
-    p_enum = sub.add_parser("enumerate", help="exact tree counts and their two-sided bracket")
-    p_enum.add_argument("--k", type=int, required=True)
-    p_enum.add_argument("--j", type=int, required=True)
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--s-max", type=int, required=True)
+    for flag in ("--k", "--j", "--n", "--s-max"):
+        p_enum.add_argument(flag, type=int, required=True)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate analytic bound expressions")
     p_bounds.add_argument("--which", required=True,
                           choices=["wheel", "laplace", "rs", "cs", "unicycle"])
-    p_bounds.add_argument("--n", type=int)
-    p_bounds.add_argument("--k", type=int)
-    p_bounds.add_argument("--j", type=int)
-    p_bounds.add_argument("--epsilon", type=float)
-    p_bounds.add_argument("--ell", type=int)
-    p_bounds.add_argument("--a", type=int)
-    p_bounds.add_argument("--s", type=int)
+    for name in ("n", "k", "j", "epsilon", "ell", "a", "s"):
+        p_bounds.add_argument(f"--{name}", type=float if name == "epsilon" else int)
     p_bounds.add_argument("--constant", type=float, default=244.0)
 
-    p_exp = sub.add_parser("experiment", help="Monte Carlo run: CSV records plus summary")
     p_exp.add_argument("--config", default=None, help="flat key=value config file")
-    p_exp.add_argument("--n", type=int, default=None)
-    p_exp.add_argument("--k", type=int, default=None)
-    p_exp.add_argument("--j", type=int, default=None)
-    p_exp.add_argument("--epsilon", type=float, default=None)
-    p_exp.add_argument("--trials", type=int, default=None)
-    p_exp.add_argument("--m", type=int, default=None)
-    p_exp.add_argument("--base-seed", type=int, default=None)
-    p_exp.add_argument("--cap", type=int, default=None)
+    for name, cast in _CONFIG_TYPES.items():  # one flag per config key
+        p_exp.add_argument(f"--{name.replace('_', '-')}", type=cast, default=None)
     p_exp.add_argument("--csv", default=None, help="write trial records to this path")
     p_exp.add_argument("--workers", type=int, default=None,
                        help="trial parallelism (env HYPERLAB_WORKERS as fallback)")
@@ -230,41 +221,32 @@ def _cmd_bounds(args) -> int:
         elif args.which == "cs":
             print(f"expected_Cs_lower_reference={expected_Cs_lower_reference(params, args.s):.10g}")
         else:
-            logv = unicycle_bound(params, args.s, args.constant)
-            print(f"log_unicycle_bound={logv:.10g}")
+            print(f"log_unicycle_bound={unicycle_bound(params, args.s, args.constant):.10g}")
     return EXIT_OK
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    values: dict[str, str] = {}
-    if args.config:
-        values = parse_config_file(_read_text(args.config))
-    def pick(flag, key, cast):
-        if flag is not None:
-            return flag
-        if key in values:
+    values = parse_config_file(_read_text(args.config)) if args.config else {}
+    for key in values:
+        if key not in _CONFIG_TYPES:
+            raise ValidationError(f"unknown config key {key!r} (keys: {', '.join(_CONFIG_TYPES)})")
+
+    def pick(name):  # the flag wins over the file
+        value = getattr(args, name)
+        if value is None and name in values:
             try:
-                return cast(values[key])
+                return _CONFIG_TYPES[name](values[name])
             except ValueError as exc:
-                raise ValidationError(f"bad config value for {key}: {values[key]!r}") from exc
-        return None
-    fields = {
-        "n": pick(args.n, "n", int),
-        "k": pick(args.k, "k", int),
-        "j": pick(args.j, "j", int),
-        "epsilon": pick(args.epsilon, "epsilon", float),
-        "trials": pick(args.trials, "trials", int),
-    }
-    missing = [name for name, v in fields.items() if v is None]
+                raise ValidationError(f"bad config value for {name}: {values[name]!r}") from exc
+        return value
+
+    chosen = {name: pick(name) for name in _REQUIRED}
+    missing = [name for name, v in chosen.items() if v is None]
     if missing:
         raise ValidationError(f"experiment needs {', '.join('--' + m for m in missing)}")
-    optional = {
-        "m": pick(args.m, "m", int),
-        "base_seed": pick(args.base_seed, "base_seed", int),
-        "cap": pick(args.cap, "cap", int),
-    }
-    fields.update({key: v for key, v in optional.items() if v is not None})
-    return ExperimentConfig(**fields)
+    optional = {name: pick(name) for name in _CONFIG_TYPES if name not in _REQUIRED}
+    chosen.update({name: v for name, v in optional.items() if v is not None})
+    return ExperimentConfig(**chosen)
 
 
 def _workers(args) -> int:
@@ -280,6 +262,7 @@ def _workers(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    check_verdict_limits(args.spread_width, args.hypertree_threshold)
     config = _experiment_config(args)
     records, summary = run_experiment(config, workers=_workers(args))
     if args.csv:
@@ -300,19 +283,21 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_COMPARISON
 
 
+# subcommand -> (handler, help line), in the order `hyperlab --help` lists them
+_COMMANDS = {
+    "gen": (_cmd_gen, "sample a hypergraph to a file"),
+    "components": (_cmd_components, "decompose a hypergraph file into j-components"),
+    "enumerate": (_cmd_enumerate, "exact tree counts and their two-sided bracket"),
+    "bounds": (_cmd_bounds, "evaluate analytic bound expressions"),
+    "experiment": (_cmd_experiment, "Monte Carlo run: CSV records plus summary"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "components":
-            return _cmd_components(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        return _cmd_experiment(args)
+        return _COMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -377,13 +377,17 @@ def _log_b_s(params: TheoryParams, s: int) -> float:
             + s * math.log(params.supersets_per_jset) + log_f_s)
 
 
+def _weighted_b_s(params: TheoryParams, s: int, x: int) -> float:
+    # B_s p^s (1-p)^x, evaluated in log space
+    return math.exp(_log_b_s(params, s) + s * math.log(params.p) + x * math.log1p(-params.p))
+
+
 def expected_Rs_upper(params: TheoryParams, s: int) -> float:
     """Upper bound on the expected total of type-j vertices over all
     branching instances of size s:
     B_s p^s (1-p)^((1+c0 s) C(n-j,k-j) - s(1+c0)), log-space evaluated."""
-    exponent = (1 + params.c0 * s) * params.supersets_per_jset - s * (1 + params.c0)
-    logv = _log_b_s(params, s) + s * math.log(params.p) + exponent * math.log1p(-params.p)
-    return math.exp(logv)
+    x = (1 + params.c0 * s) * params.supersets_per_jset - s * (1 + params.c0)
+    return _weighted_b_s(params, s, x)
 
 
 def expected_Cs_lower_reference(params: TheoryParams, s: int) -> float:
@@ -393,35 +397,26 @@ def expected_Cs_lower_reference(params: TheoryParams, s: int) -> float:
     Uses B_s in place of the all-labels-distinct count (they agree up to
     1 - o(1)), so this is a reference value, not a rigorous lower bound.
     """
-    exponent = (1 + s * params.c0) * params.supersets_per_jset
-    logv = _log_b_s(params, s) + s * math.log(params.p) + exponent * math.log1p(-params.p)
-    return math.exp(logv)
+    return _weighted_b_s(params, s, (1 + s * params.c0) * params.supersets_per_jset)
 
 
 def unicycle_bound(params: TheoryParams, s: int, constant: float = 244.0) -> float:
     """Log of the bound on marked two-type unicycle counts of size s:
 
-        log( constant * c0^2 * c_w * n^(k-j) * p0^(1-s) * s^(s+1/2) / s! ).
+        log( constant * c0^2 * c_w * n^(k-j) * p0^(1-s) * s^(s+1/2) / s! ),
 
-    The bound itself exceeds any float for large s, so the natural log is
-    returned.  Valid for s >= 1024.
+    the length-s wheel bound times constant * c0^2 * s^(s+3/2) / s!.  The bound
+    exceeds any float for large s, so the natural log is returned.  Valid for
+    s >= 1024 and a finite constant > 0.
     """
     if s < 1024:
         raise ValidationError(f"need s >= 1024, got {s}")
-    if constant <= 0:
+    if not constant > 0:
         raise ValidationError(f"constant must be positive, got {constant}")
-    cw = wheel_constant(params.k, params.j)
-    inv_p0 = params.c0 * params.supersets_per_jset
-    return (
-        math.log(constant)
-        + 2 * math.log(params.c0)
-        + math.log(cw.numerator)
-        - math.log(cw.denominator)
-        + (params.k - params.j) * math.log(params.n)
-        + (s - 1) * math.log(inv_p0)
-        + (s + 0.5) * math.log(s)
-        - math.lgamma(s + 1)
-    )
+    if constant == math.inf:
+        raise ValidationError(f"constant must be finite, got {constant}")
+    return (log_wheel_bound(params.n, params.k, params.j, s) + math.log(constant)
+            + 2 * math.log(params.c0) + (s + 1.5) * math.log(s) - math.lgamma(s + 1))
 
 
 def predicted_L1(params: TheoryParams) -> float:

@@ -57,12 +57,9 @@ class ExperimentConfig:
             )
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.m < 1:
-            raise ValidationError(f"m must be >= 1, got {self.m}")
-        if self.cap < 1:
-            raise ValidationError(f"cap must be >= 1, got {self.cap}")
+        for name in ("trials", "m", "cap"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.trials > MAX_TRIALS or self.m > MAX_M:
             raise ResourceLimitError(f"need trials <= {MAX_TRIALS} and m <= {MAX_M}, "
                                      f"got trials={self.trials}, m={self.m}")
@@ -137,9 +134,8 @@ def check_edge_budget(n: int, k: int, p: float, cap: int = DEFAULT_EDGE_BUDGET) 
         raise ResourceLimitError(f"expected edge count {expected:.0f} exceeds budget {cap}")
 
 
-def _trial_task(arg: tuple[tuple[int, int, int, float], int, int, int]) -> TrialRecord:
-    (n, k, j, epsilon), base_seed, m, t = arg
-    params = TheoryParams(n, k, j, epsilon)
+def _trial_task(arg: tuple[TheoryParams, int, int, int]) -> TrialRecord:
+    params, base_seed, m, t = arg
     return replace(run_trial(params, trial_seed(base_seed, t), m), trial=t)
 
 
@@ -156,8 +152,7 @@ def run_experiment(
     check_edge_budget(config.n, config.k, params.p, config.cap)
     workers = min(workers, config.trials, os.cpu_count() or 1)
     start = time.perf_counter()
-    key = (config.n, config.k, config.j, config.epsilon)
-    tasks = [(key, config.base_seed, config.m, t) for t in range(config.trials)]
+    tasks = [(params, config.base_seed, config.m, t) for t in range(config.trials)]
     if workers <= 1:
         records = [_trial_task(task) for task in tasks]
     else:
@@ -222,6 +217,14 @@ class VerdictReport(NamedTuple):
     passed: bool
 
 
+def check_verdict_limits(spread_width: float, hypertree_threshold: float) -> None:
+    """Refuse a spread limit that is not finite and > 0, or a threshold outside [0, 1]."""
+    if not 0 < spread_width < math.inf:
+        raise ValidationError(f"spread width must be finite and > 0, got {spread_width}")
+    if not 0 <= hypertree_threshold <= 1:
+        raise ValidationError(f"hypertree threshold must lie in [0, 1], got {hypertree_threshold}")
+
+
 def compare_to_theory(
     summary: ExperimentSummary,
     records: list[TrialRecord],
@@ -235,6 +238,7 @@ def compare_to_theory(
         raise ValidationError(
             f"comparison needs >= 30 trials, got {summary.config.trials}"
         )
+    check_verdict_limits(spread_width, hypertree_threshold)
     spread = summary.centered_p95 - summary.centered_p05
     crit_a = Criterion(
         name="centered_spread",

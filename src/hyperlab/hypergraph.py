@@ -93,21 +93,9 @@ class Wheel:
 
     def canonical(self) -> tuple[tuple[int, ...], ...]:
         """Lexicographically least interleaved listing over rotations/reversals."""
-        ell = len(self.edges)
-        seq: list[tuple[int, ...]] = []
-        for i in range(ell):
-            seq.append(self.edges[i])
-            seq.append(self.jsets[i])
-        rev = seq[::-1]
-        rev = rev[1:] + rev[:1]  # realign so a K occupies position 0
-        best = None
-        for base in (seq, rev):
-            for t in range(ell):
-                cand = tuple(base[2 * t:] + base[:2 * t])
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        return best
+        seq = [x for pair in zip(self.edges, self.jsets, strict=True) for x in pair]
+        rev = seq[-2::-1] + seq[-1:]  # reversed, realigned so a K occupies position 0
+        return min(tuple(base[t:] + base[:t]) for base in (seq, rev) for t in range(0, len(seq), 2))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Wheel):

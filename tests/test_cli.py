@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import resource
@@ -170,6 +171,14 @@ class TestBounds:
             "--epsilon", "0.3", "--s", "100",
         )
         assert code == 1
+
+    def test_unicycle_non_finite_constant_exits_one(self, capsys):
+        for constant in ("nan", "inf"):
+            code, out, err = run_cli(
+                capsys, "bounds", "--which", "unicycle", "--n", "60", "--k", "3", "--j", "2",
+                "--epsilon", "0.3", "--s", "2048", "--constant", constant,
+            )
+            assert code == 1 and out == "" and err.startswith("error:")
 
     def test_unicycle_beyond_float_range_exits_one(self, capsys):
         # C(n-j, k-j) = C(99999, 199) does not fit in a float, so p0 cannot be formed
@@ -460,6 +469,47 @@ class TestExperiment:
             code, out, err = run_cli(capsys, *args, *extra)
             assert code == 3 and out == "" and err.startswith("resource guard:")
         assert run_cli(capsys, *args, "--trials", "1", "--m", str(experiments.MAX_M))[0] == 0
+
+    @pytest.mark.parametrize("extra", [
+        ["--spread-width", "inf"], ["--spread-width", "nan"], ["--spread-width", "0"],
+        ["--hypertree-threshold", "-5"], ["--hypertree-threshold", "1.5"],
+        ["--spread-width", "inf", "--hypertree-threshold", "-5"],
+    ])
+    def test_verdict_limits_refused_before_sampling(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(experiments, "run_trial", self.no_trial)
+        for trials in ("31", "2"):
+            code, out, err = run_cli(capsys, *self.ARGS, "--trials", trials, *extra)
+            assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_unknown_config_key_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "run_trial", self.no_trial)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 40\nk = 3\nj = 2\nepsilon = 0.3\ntrials = 5\nbase_sed = 77\n")
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: unknown config key 'base_sed'")
+
+    @staticmethod
+    def no_trial(*args):
+        raise AssertionError("a refused run sampled a trial")
+
+    # (config-file value, flag value) per ExperimentConfig field, each a valid run
+    FIELD_VALUES = {"n": ("12", "13"), "k": ("4", "3"), "j": ("1", "2"),
+                    "epsilon": ("0.3", "0.4"), "trials": ("2", "1"), "m": ("2", "1"),
+                    "base_seed": ("5", "6"), "cap": ("1000", "2000")}
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(experiments.ExperimentConfig)])
+    def test_every_config_field_is_a_flag_and_a_key(self, capsys, tmp_path, name):
+        file_value, flag_value = self.FIELD_VALUES[name]
+        keys = {"n": "12", "k": "3", "j": "2", "epsilon": "0.3", "trials": "1", name: file_value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+        flag = "--" + name.replace("_", "-")
+        for extra, shown in (([], file_value), ([flag, flag_value], flag_value)):
+            code, out, err = run_cli(capsys, "experiment", "--config", str(cfg), *extra)
+            assert code == 0, err
+            config_line = out.splitlines()[1].split()
+            assert config_line[0] == "config:" and f"{name}={shown}" in config_line[1:]
 
     def test_resource_guard_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "experiment", "--n", "400", "--k", "3", "--j", "2",

@@ -219,6 +219,17 @@ class TestWheelBound:
             _, bound = wheel_bound_exact(n, k, j, ell)
             assert census <= bound
 
+    # Closed forms of the census past the grid above.  Every length-3 wheel at
+    # (3,2) lies on 4 vertices, and one at (4,3) on 5, so the census is a
+    # per-vertex-set count times C(n, 4) or C(n, 5).
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_census_closed_form_k3_j2(self, n):
+        assert brute_force_wheel_census(n, 3, 2, 3) == 4 * math.comb(n, 4)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_census_closed_form_k4_j3(self, n):
+        assert brute_force_wheel_census(n, 4, 3, 3) == 10 * math.comb(n, 5)
+
     def test_rejects_short_wheels(self):
         with pytest.raises(ValidationError):
             wheel_bound_exact(8, 3, 2, 1)
@@ -330,6 +341,11 @@ class TestProbabilityBounds:
         params = TheoryParams(200, 3, 2, 0.3)
         with pytest.raises(ValidationError):
             unicycle_bound(params, 1023)
+
+    @pytest.mark.parametrize("constant", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_unicycle_needs_finite_positive_constant(self, constant):
+        with pytest.raises(ValidationError):
+            unicycle_bound(TheoryParams(200, 3, 2, 0.3), 2048, constant)
 
 
 class TestPrediction:

@@ -117,6 +117,17 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare_to_theory(summary, records)
 
+    @pytest.mark.parametrize("limits", [
+        dict(spread_width=math.inf), dict(spread_width=math.nan), dict(spread_width=0.0),
+        dict(spread_width=-1.0), dict(hypertree_threshold=-5.0),
+        dict(hypertree_threshold=1.5), dict(hypertree_threshold=math.nan),
+    ])
+    def test_refuses_limits_out_of_range(self, limits):
+        cfg = ExperimentConfig(n=20, k=3, j=2, epsilon=0.3, trials=30, m=1)
+        records, summary = run_experiment(cfg)
+        with pytest.raises(ValidationError):
+            compare_to_theory(summary, records, **limits)
+
     def test_all_hypertree_passes(self):
         cfg = ExperimentConfig(n=60, k=3, j=2, epsilon=0.4, trials=40, m=1, base_seed=9)
         records, summary = run_experiment(cfg)

@@ -10,7 +10,9 @@ coupled runs, so that a faster or smaller implementation of any of them
 must reproduce them byte for byte.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 
 from hyperlab.cli import main
@@ -187,3 +189,39 @@ def test_coupled_run_capped_grid_pinned():
                     results.append(coupled_run(h, params, start, trial_seed(53, s), cap=5))
     assert sum(branch == 5 for _, branch in results) >= 5
     assert digest(repr(results)) == BRANCHING_DIGESTS["coupled_capped"]
+
+
+# -- analytic bound evaluators over a parameter grid ----------------------------
+#
+# Every `bounds --which unicycle|rs|cs|wheel` call of the grid below, its exit
+# code and stdout, over the five (k, j) pairs, so that a rewrite of the bound
+# formulas must reproduce their printed values byte for byte.
+BOUNDS_DIGEST = "c626fc439d69b90d8ada5d74cd8f5b2088221a893cc7bffceeffd1c567dec003"
+
+
+def bounds_grid_argv():
+    calls = []
+    for n in (20, 250, 3000):
+        for k, j in GRID_PAIRS:
+            base = ["--n", str(n), "--k", str(k), "--j", str(j)]
+            for eps in ("0.1", "0.3"):
+                for s in ("1024", "4096"):
+                    for constant in ("1.5", "244"):
+                        calls.append(["unicycle", *base, "--epsilon", eps, "--s", s,
+                                      "--constant", constant])
+                for s in ("1", "5", "40", "500"):
+                    calls += [[which, *base, "--epsilon", eps, "--s", s] for which in ("rs", "cs")]
+            calls += [["wheel", *base, "--ell", ell] for ell in ("2", "3", "5")]
+    return [["bounds", "--which", *argv] for argv in calls]
+
+
+def test_bounds_grid_pinned():
+    parts = []
+    for argv in bounds_grid_argv():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, argv
+        parts.append(f"{' '.join(argv)}\n{out.getvalue()}")
+    assert len(parts) == 405
+    assert digest("".join(parts)) == BOUNDS_DIGEST
