@@ -6,12 +6,15 @@ Two edges sharing >= j vertices share at least one j-subset, so the walk
 relation is reachability in the bipartite incidence graph between edges and
 the j-sets they contain.
 
-The sample -> validate -> decompose path works on numpy arrays.  `sample`
-draws its uniforms in blocks, turns them into geometric gaps and cumulative
-colex ranks, and unranks them all at once (`unrank_array`).  `Hypergraph`
-checks the whole edge list in a few array operations.  `j_components`
-ranks every j-subset of every edge into one array (`rank_array`) and finds
-connected components of the incidence graph by hook-and-shortcut.  Only
+Edges have one representation, the (m, k) integer array `Hypergraph.array`
+in colex order, checked whole in a few array operations; tuples appear only
+at the boundary (`Hypergraph.edges`, built on first use, and witnesses).
+`sample` draws its uniforms in blocks, turns them into geometric gaps and
+cumulative colex ranks, and unranks them all at once (`unrank_array`).
+`_decompose` ranks every j-subset of every edge into one array
+(`rank_array`), finds connected components of the incidence graph by
+hook-and-shortcut and returns columns, which the Monte Carlo trial reads
+and `j_components` turns into summaries, witnesses and a j-set map.  Only
 wheel finding, the component search and coupling walk tuples, all with
 one traversal, `walk`, over a map from each j-set to its edges
 (`jset_index`): wheel finding pops its frontier depth-first and stops at
@@ -38,24 +41,51 @@ from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    """A k-uniform hypergraph on [1, n] with edges stored in colex order."""
+    """A k-uniform hypergraph on [1, n] with edges stored in colex order.
 
-    n: int
-    k: int
-    edges: tuple[tuple[int, ...], ...]
+    `edges` is a sequence of vertex tuples or an (m, k) integer numpy array.
+    Either way the hypergraph keeps one validated, read-only (m, k) array,
+    `array` (int64, or object when a vertex passes the int64 range), and
+    `edges` gives the same edges as tuples: kept as given, or built from
+    `array` on first use.
+    """
+
+    def __init__(self, n: int, k: int, edges) -> None:
+        self.n, self.k = n, k
+        if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
+            self.array, self._edges = edges.astype(np.int64, copy=False).view(), None
+        else:
+            self.array, self._edges = None, tuple(map(tuple, edges))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.n < self.k:
             raise ValidationError(f"need n >= k >= 2, got n={self.n}, k={self.k}")
-        bad = _first_invalid_edge(self.edges, self.n, self.k)
-        if bad < len(self.edges):
+        given = self.array if self._edges is None else self._edges
+        bad, array = _first_invalid_edge(given, self.n, self.k)
+        if bad < len(given):
             e = self.edges[bad]
             if len(e) != self.k:
                 raise ValidationError(f"edge {e} does not have arity {self.k}")
             rank_subset(e, self.n)  # raises for a non-integer, unsorted or out-of-range element
             raise ValidationError(f"edges must be distinct and sorted by colex rank near {e}")
+        array.flags.writeable = False
+        self.array = array
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.array.tolist()))
+        return self._edges
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return (self.n, self.k) == (other.n, other.k) and np.array_equal(self.array, other.array)
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(n={self.n}, k={self.k}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -158,7 +188,7 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
         ranks = np.arange(total, dtype=dtype)
     else:
         ranks = _edge_ranks(total, p, make_generator(seed), dtype)
-    return Hypergraph(n, k, tuple(map(tuple, unrank_array(ranks, k, n).tolist())))
+    return Hypergraph(n, k, unrank_array(ranks, k, n))
 
 
 def _edge_ranks(total: int, p: float, rng: np.random.Generator, dtype: type) -> np.ndarray:
@@ -192,20 +222,31 @@ def _edge_ranks(total: int, p: float, rng: np.random.Generator, dtype: type) -> 
         last = ranks[-1]
 
 
-def _first_invalid_edge(edges, n: int, k: int) -> int:
+def _first_invalid_edge(edges, n: int, k: int) -> tuple[int, np.ndarray]:
     # Index of the first edge that breaks arity k, integer elements, strict
-    # ascent within [1, n] or strictly increasing colex order; len(edges)
-    # when none does.  Each check runs on the prefix the previous one passed.
-    end = _first_false(np.fromiter(map(len, edges), np.intp, len(edges)) == k)
-    if not end:  # also keeps a k past numpy's dimension range out of the shapes below
-        return 0
-    flat = list(chain.from_iterable(edges[:end]))
-    is_int = np.fromiter(map(isinstance, flat, repeat(int)), bool, len(flat))
-    end = _first_false(is_int.reshape(end, k).all(axis=1))
-    try:
-        e = np.fromiter(flat[:end * k], np.int64, end * k).reshape(end, k)
-    except OverflowError:  # beyond int64: compare as Python ints
-        e = np.array(flat[:end * k], dtype=object).reshape(end, k)
+    # ascent within [1, n] or strictly increasing colex order (len(edges)
+    # when none does), and the edges as an (m, k) array when none does.
+    # `edges` is a tuple of tuples or a 2-D int64 array.  Each check runs on
+    # the prefix the previous one passed.
+    if not len(edges):
+        # numpy has no (0, k) array for k past its dimension range, and no
+        # decomposition reads the columns of one past MAX_TEMPLATE_CELLS
+        return 0, np.empty((0, min(k, MAX_TEMPLATE_CELLS)), np.int64)
+    if isinstance(edges, np.ndarray):
+        if edges.shape[1] != k:
+            return 0, None
+        e = edges
+    else:
+        end = _first_false(np.fromiter(map(len, edges), np.intp, len(edges)) == k)
+        if not end:  # also keeps a k past numpy's dimension range out of the shapes below
+            return 0, None
+        flat = list(chain.from_iterable(edges[:end]))
+        is_int = np.fromiter(map(isinstance, flat, repeat(int)), bool, len(flat))
+        end = _first_false(is_int.reshape(end, k).all(axis=1))
+        try:
+            e = np.fromiter(flat[:end * k], np.int64, end * k).reshape(end, k)
+        except OverflowError:  # beyond int64: compare as Python ints
+            e = np.array(flat[:end * k], dtype=object).reshape(end, k)
     ok = (e[:, 0] >= 1) & (e[:, 1:] > e[:, :-1]).all(axis=1) & (e[:, -1] <= n)
     end = _first_false(ok)
     # colex order: at the highest position where consecutive edges differ,
@@ -213,7 +254,7 @@ def _first_invalid_edge(edges, n: int, k: int) -> int:
     a, b = e[:end][:-1], e[:end][1:]
     top = k - 1 - np.argmax((a != b)[:, ::-1], axis=1)
     rows = np.arange(len(top))
-    return min(end, 1 + _first_false(b[rows, top] > a[rows, top]))
+    return min(end, 1 + _first_false(b[rows, top] > a[rows, top])), e
 
 
 def _first_false(flags: np.ndarray) -> int:
@@ -271,36 +312,43 @@ def j_components(
     Isolated j-sets (order 1, size 0) are not materialized; their count is
     C(n, j) minus the map's length.
     """
+    sizes, orders, flags, edge_cid, (keys, first, jset_cid) = _decompose(h, j)
+    witnesses: list[Optional[Wheel]] = [None] * len(sizes)
+    for cid in np.flatnonzero(~flags).tolist():
+        witnesses[cid] = find_wheel(h, j, list(map(tuple, h.array[edge_cid == cid].tolist())))
+    summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
+                         orders.tolist(), flags.tolist(), witnesses))
+    touch = np.argsort(first)
+    return summaries, dict(zip(keys[touch].tolist(), jset_cid[touch].tolist()))
+
+
+def _decompose(h: Hypergraph, j: int) -> tuple:
+    # The j-components as columns: per component, in id order, its size,
+    # order and hypertree flag; per edge its component id; and per distinct
+    # j-set, in rank order, its colex rank, its first row among the edges'
+    # j-subsets and its component id.
     if not 1 <= j <= h.k - 1:
         raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
-    m = len(h.edges)
     # C(k, j) >= 2^min(j, k-j), so from 24 on the cap is passed without C(k, j)
     if min(j, h.k - j) >= 24 or math.comb(h.k, j) * j > MAX_TEMPLATE_CELLS:
         raise ResourceLimitError(
             f"the j-subsets of one edge at (k, j) = ({h.k}, {j}) exceed {MAX_TEMPLATE_CELLS} cells"
         )
+    m = len(h.array)
     c0 = math.comb(h.k, j) - 1
-    edges = np.fromiter(chain.from_iterable(h.edges), colex_dtype(h.n, j), m * h.k)
-    edges = edges.reshape(m, h.k)
     # rows e*(c0+1) .. e*(c0+1)+c0 are edge e's j-subsets, in `combinations` order
-    subsets = edges[:, list(combinations(range(h.k), j))].reshape(-1, j)
+    subsets = h.array[:, list(combinations(range(h.k), j))].reshape(-1, j)
     keys, first, jset = np.unique(rank_array(subsets, h.n), return_index=True,
                                   return_inverse=True)
     # nodes: edges 0..m-1, then j-sets; each root is its component's first edge
     root = _least_connected(np.repeat(np.arange(m), c0 + 1), m + jset, m + len(keys))
-    roots, edge_cid = np.unique(root[:m], return_inverse=True)
+    # component ids number the roots in edge order
+    is_root = root[:m] == np.arange(m)
+    edge_cid = (np.cumsum(is_root) - 1)[root[:m]]
     jset_cid = edge_cid[root[m:]]
-    sizes = np.bincount(edge_cid)
-    orders = np.bincount(jset_cid, minlength=len(roots))
-    flags = orders == 1 + c0 * sizes
-    witnesses: list[Optional[Wheel]] = [None] * len(roots)
-    for cid in np.flatnonzero(~flags).tolist():
-        comp = [h.edges[e] for e in np.flatnonzero(edge_cid == cid).tolist()]
-        witnesses[cid] = find_wheel(h, j, comp)
-    summaries = list(map(ComponentSummary, range(len(roots)), sizes.tolist(),
-                         orders.tolist(), flags.tolist(), witnesses))
-    touch = np.argsort(first)
-    return summaries, dict(zip(keys[touch].tolist(), jset_cid[touch].tolist()))
+    sizes = np.bincount(edge_cid, minlength=is_root.sum())
+    orders = np.bincount(jset_cid, minlength=len(sizes))
+    return sizes, orders, orders == 1 + c0 * sizes, edge_cid, (keys, first, jset_cid)
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -408,8 +456,8 @@ def brute_force_wheel_census(n: int, k: int, j: int, ell: int) -> int:
 
 
 def write_hypergraph(h: Hypergraph) -> str:
-    lines = [f"{h.n} {h.k} {len(h.edges)}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
+    lines = [f"{h.n} {h.k} {len(h.array)}"]
+    lines.extend(" ".join(map(str, e)) for e in h.array.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -426,11 +474,13 @@ def read_hypergraph(text: str) -> Hypergraph:
         raise ValidationError(f"non-integer header field in {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise ValidationError(f"header declares {m} edges but file has {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        try:
-            e = tuple(int(x) for x in ln.split())
-        except ValueError as exc:
-            raise ValidationError(f"non-integer vertex id in line {ln!r}") from exc
-        edges.append(e)
-    return Hypergraph(n, k, tuple(edges))
+    try:  # one conversion for the whole file; it accepts fewer spellings than int()
+        edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2) if m else ()
+    except ValueError:  # line by line: word the first error, or keep ids past int64
+        edges = []
+        for ln in lines[1:]:
+            try:
+                edges.append(tuple(int(x) for x in ln.split()))
+            except ValueError as exc:
+                raise ValidationError(f"non-integer vertex id in line {ln!r}") from exc
+    return Hypergraph(n, k, edges)

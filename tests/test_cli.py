@@ -489,6 +489,14 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert err.startswith("error: unknown config key 'base_sed'")
 
+    def test_repeated_config_key_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "run_trial", self.no_trial)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 40\nk = 3\nj = 2\nepsilon = 0.3\ntrials = 5\nn = 50\n")
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("error: config key 'n' is given twice")
+
     @staticmethod
     def no_trial(*args):
         raise AssertionError("a refused run sampled a trial")

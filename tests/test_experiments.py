@@ -1,17 +1,24 @@
 import math
+from operator import attrgetter
 
 import pytest
 
+from hyperlab import experiments
+from hyperlab.combinatorics import TheoryParams, colex_dtype
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.experiments import (
     ExperimentConfig,
+    TrialRecord,
     compare_to_theory,
     csv_lines,
     format_summary,
     machine_block,
     parse_config_file,
     run_experiment,
+    run_trial,
 )
+from hyperlab.hypergraph import Hypergraph, j_components, sample
+from hyperlab.rng import trial_seed
 
 TINY = ExperimentConfig(n=40, k=3, j=2, epsilon=0.3, trials=10, m=2, base_seed=77)
 
@@ -44,6 +51,10 @@ class TestConfig:
     def test_parse_config_rejects_garbage(self):
         with pytest.raises(ValidationError):
             parse_config_file("n 40\n")
+
+    def test_parse_config_rejects_a_repeated_key(self):
+        with pytest.raises(ValidationError, match="config key 'n' is given twice"):
+            parse_config_file("n = 40\nk = 3\nn = 50\n")
 
 
 class TestRunExperiment:
@@ -97,6 +108,54 @@ class TestRunExperiment:
             _, summary = run_experiment(cfg)
             medians.append(summary.median_L1)
         assert medians[0] > medians[1] > medians[2]
+
+
+def record_from_summaries(h, j, seed, m):
+    """The trial record built from the public `j_components` summaries."""
+    comps, _ = j_components(h, j)
+    top = sorted(comps, key=attrgetter("size"), reverse=True)[:m]
+    pad = m - len(top)
+    nonhyp = [c.size for c in comps if not c.is_hypertree]
+    return TrialRecord(
+        trial=0, seed=seed, edges=len(h.edges),
+        sizes=tuple(c.size for c in top) + (0,) * pad,
+        orders=tuple(c.order for c in top) + (0,) * pad,
+        hypertree=tuple(c.is_hypertree for c in top) + (None,) * pad,
+        nonhypertree_count=len(nonhyp),
+        largest_nonhypertree=max(nonhyp, default=0),
+    )
+
+
+class TestColumnarTrial:
+    """`run_trial` reads the columnar decomposition; its record must equal
+    the one rebuilt from the `j_components` summaries of the same sample."""
+
+    @pytest.mark.parametrize("k, j, n", [(2, 1, 80), (3, 1, 40), (3, 2, 60), (4, 2, 24), (4, 3, 20)])
+    def test_sampled_trials_match_summaries(self, k, j, n):
+        params = TheoryParams(n, k, j, 0.3)
+        nonhypertree = 0
+        for t in range(8):
+            seed = trial_seed(21, t)
+            h = sample(n, k, params.p, seed)
+            for m in (1, 3, 100):  # m = 100 mostly passes the component count: padding
+                record = run_trial(params, seed, m)
+                assert record == record_from_summaries(h, j, seed, m)
+            nonhypertree += record.nonhypertree_count
+        assert nonhypertree > 0
+
+    @pytest.mark.parametrize("edges, n", [
+        ((), 30),                                                     # no edges
+        (((1, 2, 3), (1, 2, 4), (1, 3, 4), (5, 6, 7)), 10**10),       # object-dtype ranks
+        (((1, 2, 3), (1, 2, 4), (1, 3, 4), (5, 6, 2**64)), 2**70),    # object-dtype vertices
+    ])
+    def test_given_hypergraphs_match_summaries(self, monkeypatch, edges, n):
+        h = Hypergraph(n, 3, edges)
+        monkeypatch.setattr(experiments, "sample", lambda *args: h)
+        params = TheoryParams(n, 3, 2, 0.3)
+        if edges:
+            assert colex_dtype(n, 2) is object
+        for m in (1, 2, 5):
+            assert run_trial(params, 7, m) == record_from_summaries(h, 2, 7, m)
 
 
 class TestCsv:

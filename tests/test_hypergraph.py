@@ -1,10 +1,11 @@
 import math
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import hypergraph
@@ -213,6 +214,73 @@ class TestArrayValidation:
             with pytest.raises(ValidationError) as info:
                 Hypergraph(5, 3, edges)
             assert str(info.value) == message
+
+
+def as_array(edges, k):
+    """The (m, k) int64 array of the same edges; None when there is none
+    (ragged rows, or an element that is not a plain int within int64)."""
+    if len({len(e) for e in edges}) > 1 or any(type(v) is not int for e in edges for v in e):
+        return None
+    try:
+        return np.array(edges, dtype=np.int64).reshape(len(edges), len(edges[0]) if edges else k)
+    except OverflowError:
+        return None
+
+
+def read_outcome(text):
+    try:
+        h = read_hypergraph(text)
+    except ValidationError as exc:
+        return str(exc)
+    return h, h.edges
+
+
+# tokens int() reads (some of which np.loadtxt refuses) and tokens int() refuses
+TOKENS = ["1", "2", "3", "4", "5", "6", "007", "+3", "-1", "0", "1_0", "\u0663", "3.0", "x",
+          "9" * 20, "#"]
+
+
+@st.composite
+def edge_files(draw):
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), max_size=5))
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    return f"9 3 {len(lines)}\n" + "".join(sep.join(line) + "\n" for line in lines)
+
+
+class TestOneRepresentation:
+    @settings(max_examples=600, deadline=None)
+    @given(edge_lists())
+    def test_tuples_and_array_agree(self, case):
+        n, k, edges = case
+        array = as_array(edges, k)
+        assume(array is not None)
+        assert outcome(Hypergraph, n, k, array) == outcome(Hypergraph, n, k, edges)
+        if outcome(Hypergraph, n, k, edges) is None:
+            a, b = Hypergraph(n, k, edges), Hypergraph(n, k, array)
+            assert a == b
+            assert a.edges == b.edges == edges
+            assert a.array.dtype == b.array.dtype == np.int64
+            assert np.array_equal(a.array, array) and not a.array.flags.writeable
+            for h in (a, b):
+                back = read_hypergraph(write_hypergraph(h))
+                assert back == a and back.edges == edges
+
+    def test_sample_builds_the_tuple_view_on_first_use(self):
+        h = sample(30, 3, 0.05, 4)
+        assert h._edges is None
+        assert h.edges == tuple(map(tuple, h.array.tolist())) and h.edges is h.edges
+
+    def test_tuple_input_is_kept_as_the_view(self):
+        edges = ((1, 2, 3), (1, 2, 4))
+        h = Hypergraph(5, 3, edges)
+        assert all(a is b for a, b in zip(h.edges, edges))
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_files())
+    def test_whole_file_parse_matches_the_per_line_loop(self, text):
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            expected = read_outcome(text)
+        assert read_outcome(text) == expected
 
 
 class TestJComponents:
