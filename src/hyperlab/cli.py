@@ -133,7 +133,7 @@ def _cmd_gen(args) -> int:
     h = sample(args.n, args.k, p, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(write_hypergraph(h))
-    print(f"wrote {len(h.edges)} edges to {args.out}")
+    print(f"wrote {len(h.array)} edges to {args.out}")
     return EXIT_OK
 
 

@@ -8,17 +8,16 @@ the j-sets they contain.
 
 Edges have one representation, the (m, k) integer array `Hypergraph.array`
 in colex order, checked whole in a few array operations; tuples appear only
-at the boundary (`Hypergraph.edges`, built on first use, and witnesses).
+at the boundary (`Hypergraph.edges`, built on each access, and witnesses).
 `sample` draws its uniforms in blocks, turns them into geometric gaps and
 cumulative colex ranks, and unranks them all at once (`unrank_array`).
-`_decompose` ranks every j-subset of every edge into one array
-(`rank_array`), finds connected components of the incidence graph by
-hook-and-shortcut and returns columns, which the Monte Carlo trial reads
-and `j_components` turns into summaries, witnesses and a j-set map.  Only
-wheel finding, the component search and coupling walk tuples, all with
-one traversal, `walk`, over a map from each j-set to its edges
-(`jset_index`): wheel finding pops its frontier depth-first and stops at
-the first arc that closes a cycle, the search pops it breadth-first.
+One helper ranks every j-subset of every edge (`rank_array`).  From those
+ranks `_decompose` finds the components of the incidence graph by
+hook-and-shortcut and returns the columns that the Monte Carlo trial reads
+and `j_components` turns into summaries, witnesses and a j-set map, and
+`jset_lookup` sorts them into a map from a j-set to its edges.  Over that
+map one traversal, `walk`, serves wheel finding (depth-first, stopping at
+the first arc that closes a cycle), the component search and coupling.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -29,10 +28,11 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -45,39 +45,36 @@ class Hypergraph:
     """A k-uniform hypergraph on [1, n] with edges stored in colex order.
 
     `edges` is a sequence of vertex tuples or an (m, k) integer numpy array.
-    Either way the hypergraph keeps one validated, read-only (m, k) array,
-    `array` (int64, or object when a vertex passes the int64 range), and
-    `edges` gives the same edges as tuples: kept as given, or built from
-    `array` on first use.
+    Either way the hypergraph keeps only one validated, read-only (m, k)
+    array, `array` (int64, or object when a vertex passes the int64 range);
+    `edges` builds the same edges as tuples on each access.
     """
 
     def __init__(self, n: int, k: int, edges) -> None:
         self.n, self.k = n, k
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
-            self.array, self._edges = edges.astype(np.int64, copy=False).view(), None
+            # a view, so that making it read-only leaves the caller's array writeable
+            self.array = edges.astype(np.int64, copy=False).view()
         else:
-            self.array, self._edges = None, tuple(map(tuple, edges))
+            self.array = tuple(map(tuple, edges))
         self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.n < self.k:
             raise ValidationError(f"need n >= k >= 2, got n={self.n}, k={self.k}")
-        given = self.array if self._edges is None else self._edges
-        bad, array = _first_invalid_edge(given, self.n, self.k)
+        given = self.array
+        bad, self.array = _first_invalid_edge(given, self.n, self.k)
         if bad < len(given):
-            e = self.edges[bad]
+            e = tuple(given[bad].tolist() if isinstance(given, np.ndarray) else given[bad])
             if len(e) != self.k:
                 raise ValidationError(f"edge {e} does not have arity {self.k}")
             rank_subset(e, self.n)  # raises for a non-integer, unsorted or out-of-range element
             raise ValidationError(f"edges must be distinct and sorted by colex rank near {e}")
-        array.flags.writeable = False
-        self.array = array
+        self.array.flags.writeable = False
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        if self._edges is None:
-            self._edges = tuple(map(tuple, self.array.tolist()))
-        return self._edges
+        return tuple(map(tuple, self.array.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -152,8 +149,8 @@ class ComponentSummary:
 _BLOCK = 1 << 16
 # Largest n * k for which `sample` builds its colex tables (32 MiB of int64).
 MAX_TABLE_CELLS = 1 << 22
-# Largest per-edge j-subset template of `j_components`, C(k, j) rows of j
-# cells; the m copies it is gathered into are bounded by the edge budget.
+# Largest j-subset template of one k-set, C(k, j) rows of j cells; the m
+# copies that rank a hypergraph's j-subsets are bounded by the edge budget.
 MAX_TEMPLATE_CELLS = 1 << 24
 
 
@@ -261,31 +258,49 @@ def _first_false(flags: np.ndarray) -> int:
     return int(np.argmin(flags)) if not flags.all() else len(flags)
 
 
-def jset_index(
-    edges: Iterable[tuple[int, ...]], j: int
-) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Map every j-set contained in one of `edges` to the edges containing it.
+def _check_subsets(n: int, k: int, j: int) -> None:
+    if k < 2 or n < k:
+        raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
+    if not 1 <= j <= k - 1:
+        raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={k}")
+    # C(k, j) >= 2^min(j, k-j), so from 24 on the cap is passed without C(k, j)
+    if min(j, k - j) >= 24 or math.comb(k, j) * j > MAX_TEMPLATE_CELLS:
+        raise ResourceLimitError(
+            f"the j-subsets of one k-set at (k, j) = ({k}, {j}) exceed {MAX_TEMPLATE_CELLS} cells"
+        )
 
-    This is the bipartite edge/j-set incidence graph that wheel finding,
-    component search and coupling traverse.  Keys appear
-    in order of first touch, and each list keeps the input order, so
-    colex-ordered edges give colex-ordered lists.
+
+def _subset_ranks(h: Hypergraph, j: int) -> np.ndarray:
+    # row e*C(k,j) + i ranks the i-th of edge e's j-subsets in `combinations` order
+    _check_subsets(h.n, h.k, j)
+    return rank_array(h.array[:, list(combinations(range(h.k), j))].reshape(-1, j), h.n)
+
+
+def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]]]:
+    """Return a function from a j-set (a sorted tuple) to the edges of `h`
+    containing it, as tuples in colex order.  It ranks the j-set exactly and
+    bisects the stably sorted j-subset ranks as Python ints (exact for object).
     """
-    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for e in edges:
-        for sub in combinations(e, j):
-            index.setdefault(sub, []).append(e)
-    return index
+    ranks = _subset_ranks(h, j)
+    order = np.argsort(ranks, kind="stable")
+    keys, rows = ranks[order].tolist(), (order // math.comb(h.k, j)).tolist()
+
+    def edges_of(jset: tuple) -> list[tuple[int, ...]]:
+        rank = sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
+        lo = bisect_left(keys, rank)
+        return [tuple(h.array[r].tolist()) for r in rows[lo:bisect_right(keys, rank, lo)]]
+
+    return edges_of
 
 
-def walk(index: dict, j: int, start: tuple, parent: dict, lifo: bool = False) -> Iterator:
-    """Traverse the incidence graph `index` from `start`, a j-set or an edge.
+def walk(edges_of: Callable, j: int, start: tuple, parent: dict, lifo: bool = False) -> Iterator:
+    """Traverse the incidence graph from `start`, a j-set or an edge.
 
-    A j-set's neighbours are its edges in `index`, an edge's its j-subsets.
-    Nodes are marked when pushed, and `parent` maps each to the node that
-    pushed it (`start` to None).  Yields (u, None) per pop, in pop order,
-    and (u, v) per arc to a marked v other than parent[u], closing a cycle.
-    The frontier is a queue, or with `lifo` a stack.
+    A j-set's neighbours are its edges, `edges_of(jset)` from `jset_lookup`,
+    an edge's its j-subsets.  Nodes are marked when pushed, and `parent`
+    maps each to the node that pushed it (`start` to None).  Yields (u, None)
+    per pop, in pop order, and (u, v) per arc to a marked v other than
+    parent[u], closing a cycle.  The frontier is a queue, or with `lifo` a stack.
     """
     parent[start] = None
     frontier = deque([start])
@@ -293,7 +308,7 @@ def walk(index: dict, j: int, start: tuple, parent: dict, lifo: bool = False) ->
     while frontier:
         u = pop()
         yield u, None
-        for v in (index.get(u, ()) if len(u) == j else combinations(u, j)):
+        for v in (edges_of(u) if len(u) == j else combinations(u, j)):
             if v not in parent:
                 parent[v] = u
                 frontier.append(v)
@@ -312,10 +327,11 @@ def j_components(
     Isolated j-sets (order 1, size 0) are not materialized; their count is
     C(n, j) minus the map's length.
     """
-    sizes, orders, flags, edge_cid, (keys, first, jset_cid) = _decompose(h, j)
+    sizes, orders, flags, roots, (keys, first, jset_cid) = _decompose(h, j)
     witnesses: list[Optional[Wheel]] = [None] * len(sizes)
-    for cid in np.flatnonzero(~flags).tolist():
-        witnesses[cid] = find_wheel(h, j, list(map(tuple, h.array[edge_cid == cid].tolist())))
+    edges_of = None if flags.all() else jset_lookup(h, j)
+    for cid in np.flatnonzero(~flags).tolist():  # a witness DFS from the component's first edge
+        witnesses[cid] = _first_wheel(edges_of, j, tuple(h.array[roots[cid]].tolist()))
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
     touch = np.argsort(first)
@@ -324,22 +340,13 @@ def j_components(
 
 def _decompose(h: Hypergraph, j: int) -> tuple:
     # The j-components as columns: per component, in id order, its size,
-    # order and hypertree flag; per edge its component id; and per distinct
+    # order, hypertree flag and first edge (its row); and per distinct
     # j-set, in rank order, its colex rank, its first row among the edges'
     # j-subsets and its component id.
-    if not 1 <= j <= h.k - 1:
-        raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
-    # C(k, j) >= 2^min(j, k-j), so from 24 on the cap is passed without C(k, j)
-    if min(j, h.k - j) >= 24 or math.comb(h.k, j) * j > MAX_TEMPLATE_CELLS:
-        raise ResourceLimitError(
-            f"the j-subsets of one edge at (k, j) = ({h.k}, {j}) exceed {MAX_TEMPLATE_CELLS} cells"
-        )
+    ranks = _subset_ranks(h, j)
     m = len(h.array)
     c0 = math.comb(h.k, j) - 1
-    # rows e*(c0+1) .. e*(c0+1)+c0 are edge e's j-subsets, in `combinations` order
-    subsets = h.array[:, list(combinations(range(h.k), j))].reshape(-1, j)
-    keys, first, jset = np.unique(rank_array(subsets, h.n), return_index=True,
-                                  return_inverse=True)
+    keys, first, jset = np.unique(ranks, return_index=True, return_inverse=True)
     # nodes: edges 0..m-1, then j-sets; each root is its component's first edge
     root = _least_connected(np.repeat(np.arange(m), c0 + 1), m + jset, m + len(keys))
     # component ids number the roots in edge order
@@ -348,7 +355,7 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     jset_cid = edge_cid[root[m:]]
     sizes = np.bincount(edge_cid, minlength=is_root.sum())
     orders = np.bincount(jset_cid, minlength=len(sizes))
-    return sizes, orders, orders == 1 + c0 * sizes, edge_cid, (keys, first, jset_cid)
+    return sizes, orders, orders == 1 + c0 * sizes, np.flatnonzero(is_root), (keys, first, jset_cid)
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -381,15 +388,17 @@ def find_wheel(
     """
     if not component_edges:
         return None
+    return _first_wheel(jset_lookup(h, j), j, tuple(component_edges[0]))
+
+
+def _first_wheel(edges_of: Callable, j: int, start: tuple) -> Optional[Wheel]:
     # a depth-first walk: its first non-tree arc closes an alternating cycle, a wheel
     parent: dict[tuple, Optional[tuple]] = {}
-    for u, v in walk(jset_index(component_edges, j), j, component_edges[0], parent, lifo=True):
+    for u, v in walk(edges_of, j, start, parent, lifo=True):
         if v is not None:
-            return _wheel_from_cycle(u, v, parent, j)
-    return None
-
-
-def _wheel_from_cycle(u: tuple, v: tuple, parent: dict, j: int) -> Wheel:
+            break
+    else:
+        return None
     # non-tree arc (u, v): the cycle runs from u up to the lowest common
     # ancestor, the first ancestor of v that is also one of u
     up_u = [u]

@@ -1,8 +1,8 @@
 """Component search, the two-type branching process, and their coupling.
 
 The search explores one j-component of a hypergraph with a breadth-first
-`hypergraph.walk`, as `coupled_run` does to size it: popping a j-set
-queries every k-set containing it, popping a k-set activates its
+`hypergraph.walk`, as `coupled_run` does to size it: popping a j-set looks
+its edges up with `hypergraph.jset_lookup`, popping a k-set activates its
 undiscovered j-subsets.  The branching process mirrors the search but
 never skips: every type-j vertex queries all C(n-j, k-j) candidate k-sets
 independently with probability p, and each spawned type-k vertex attaches
@@ -33,7 +33,7 @@ import numpy as np
 
 from .combinatorics import TheoryParams, rank_subset, unrank_subset
 from .errors import ValidationError
-from .hypergraph import Hypergraph, jset_index, walk
+from .hypergraph import Hypergraph, _check_subsets, jset_lookup, walk
 from .rng import make_generator
 
 DEFAULT_CAP = 1_000_000
@@ -101,16 +101,15 @@ def _validate_jset(start, n: int, j: int) -> tuple[int, ...]:
 def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
     """Explore the full j-component of `start` breadth-first.
 
-    Candidate k-sets of a popped j-set are scanned in colex order of their
-    (k-j)-vertex complement; component size and order do not depend on
+    The edges of a popped j-set are pushed in colex order, that of their
+    (k-j)-vertex complements; component size and order do not depend on
     that order, traces do.
     """
-    if not 1 <= j <= h.k - 1:
-        raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={h.k}")
+    edges_of = jset_lookup(h, j)
     start = _validate_jset(start, h.n, j)
     parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
     pops = [("J" if len(u) == j else "K", u)
-            for u, v in walk(jset_index(h.edges, j), j, start, parent) if v is None]
+            for u, v in walk(edges_of, j, start, parent) if v is None]
     ksets = frozenset(u for u in parent if len(u) != j)
     return SearchTrace(start=start, pops=pops, size=len(ksets), order=len(parent) - len(ksets),
                        discovered_jsets=frozenset(parent.keys() - ksets), discovered_ksets=ksets)
@@ -164,6 +163,7 @@ def branching_with_rate(
     cap: int = DEFAULT_CAP,
 ) -> TwoTypeTree:
     """Run the two-type branching process with an explicit edge probability."""
+    _check_subsets(n, k, j)  # every k-vertex gets C(k, j) - 1 children
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
     if not 0.0 <= p <= 1.0:
@@ -192,8 +192,8 @@ def coupled_run(
     start = _validate_jset(start, h.n, j)
     if (h.n, h.k) != (params.n, params.k):
         raise ValidationError("hypergraph and params disagree on (n, k)")
-    index = jset_index(h.edges, j)
-    component_size = sum(len(u) != j for u, v in walk(index, j, start, {}) if v is None)
+    edges_of = jset_lookup(h, j)
+    component_size = sum(len(u) != j for u, v in walk(edges_of, j, start, {}) if v is None)
     expanded: set[tuple[int, ...]] = set()
 
     def queried_before(klabel: tuple[int, ...]) -> bool:
@@ -204,7 +204,7 @@ def coupled_run(
         # spawn, and absent k-sets do not, whatever their draw.  A repeat query
         # keeps its Bernoulli(p) hit.  Both lists hold k-sets containing
         # jlabel, whose colex order is that of the reversed tuples.
-        fresh = [e for e in index.get(jlabel, ()) if not queried_before(e)]
+        fresh = [e for e in edges_of(jlabel) if not queried_before(e)]
         repeats = [e for e in hits if queried_before(e)]
         expanded.add(jlabel)
         return sorted(fresh + repeats, key=lambda e: e[::-1])

@@ -98,6 +98,30 @@ def test_c04_coupling_dominance_ten_thousand_runs():
     _report(4, "branching dominates search on every coupled run", t0, 60, f"runs={runs}")
 
 
+def test_c04_coupling_dominance_at_n_1000():
+    # Every k-set the search finds must come from the decomposition's
+    # component of the start, and the branching run must dominate it.
+    t0 = time.perf_counter()
+    runs = 0
+    for combo_idx, (k, j, samples) in enumerate([(3, 2, 2), (2, 1, 20)]):
+        params = TheoryParams(1000, k, j, 0.3)
+        for s in range(samples):
+            h = sample(params.n, params.k, params.p, trial_seed(700 + combo_idx, s))
+            comps, jmap = j_components(h, j)
+            edges = h.edges
+            largest = max(comps, key=lambda c: c.size).id
+            starts = [e[:j] for e in edges[::max(1, len(edges) // 25)]]
+            starts.append(next(e[:j] for e in edges if jmap[rank_subset(e[:j], params.n)] == largest))
+            starts.append(tuple(range(params.n - j + 1, params.n + 1)))
+            for start in starts:
+                comp, branch = coupled_run(h, params, start, trial_seed(800 + combo_idx, runs))
+                cid = jmap.get(rank_subset(start, params.n))
+                assert comp == (0 if cid is None else comps[cid].size)
+                assert branch >= comp
+                runs += 1
+    _report(4, "branching dominates search at n=1000", t0, 20, f"runs={runs}")
+
+
 def test_c05_hypertree_iff_no_wheel():
     t0 = time.perf_counter()
     cases = []

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperlab import hypergraph
-from hyperlab.combinatorics import TheoryParams, rank_subset
+from hyperlab.combinatorics import TheoryParams, colex_dtype, rank_subset
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import (
     MAX_TABLE_CELLS,
@@ -18,7 +18,7 @@ from hyperlab.hypergraph import (
     brute_force_wheel_census,
     find_wheel,
     j_components,
-    jset_index,
+    jset_lookup,
     read_hypergraph,
     sample,
     walk,
@@ -265,15 +265,13 @@ class TestOneRepresentation:
                 back = read_hypergraph(write_hypergraph(h))
                 assert back == a and back.edges == edges
 
-    def test_sample_builds_the_tuple_view_on_first_use(self):
-        h = sample(30, 3, 0.05, 4)
-        assert h._edges is None
-        assert h.edges == tuple(map(tuple, h.array.tolist())) and h.edges is h.edges
-
-    def test_tuple_input_is_kept_as_the_view(self):
+    def test_keeps_only_the_array(self):
         edges = ((1, 2, 3), (1, 2, 4))
-        h = Hypergraph(5, 3, edges)
-        assert all(a is b for a, b in zip(h.edges, edges))
+        given = np.array(edges, dtype=np.int64)
+        for h in (Hypergraph(5, 3, edges), Hypergraph(5, 3, given)):
+            assert vars(h).keys() == {"n", "k", "array"}
+            assert h.edges == edges
+        assert given.flags.writeable
 
     @settings(max_examples=400, deadline=None)
     @given(edge_files())
@@ -363,12 +361,48 @@ class TestJComponents:
                     assert comps[cid].order == len(comp_vertices)
 
 
+KJ_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
+
+
+@st.composite
+def hypergraphs_and_j(draw):
+    k, j = draw(st.sampled_from(KJ_PAIRS))
+    n = draw(st.integers(k, 8))
+    ksets = list(combinations(range(1, n + 1), k))
+    picked = draw(st.lists(st.sampled_from(ksets), unique=True, max_size=20))
+    return Hypergraph.from_edges(n, k, picked), j
+
+
+class TestJsetLookup:
+    @staticmethod
+    def assert_matches_scan(h, j, jsets):
+        edges_of = jset_lookup(h, j)
+        for s in jsets:
+            assert edges_of(s) == [e for e in h.edges if set(s) <= set(e)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(hypergraphs_and_j())
+    def test_matches_a_scan_of_the_edges(self, case):
+        h, j = case
+        # every j-set of [n]: the touched ones and the untouched ones
+        self.assert_matches_scan(h, j, combinations(range(1, h.n + 1), j))
+
+    def test_object_dtype_ranks(self):
+        n = 10**10
+        assert colex_dtype(n, 2) is object
+        h = Hypergraph.from_edges(n, 3, [(1, 2, n), (2, n - 1, n), (1, 2, 3), (3, 5 * 10**9, n),
+                                         (2, 5 * 10**9, n - 1)])
+        touched = {s for e in h.edges for s in combinations(e, 2)}
+        untouched = [(1, n - 1), (4, n), (n - 2, n - 1)]
+        self.assert_matches_scan(h, 2, sorted(touched) + untouched)
+
+
 class TestWalk:
-    WHEEL = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]  # every two edges share a 2-set
+    WHEEL = Hypergraph(6, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])  # every two edges share a 2-set
 
     def test_breadth_first_pops_parents_and_cycle_arcs(self):
         parent = {}
-        events = list(walk(jset_index(self.WHEEL, 2), 2, (1, 2), parent))
+        events = list(walk(jset_lookup(self.WHEEL, 2), 2, (1, 2), parent))
         assert [u for u, v in events if v is None] == [
             (1, 2), (1, 2, 3), (1, 2, 4), (1, 3), (2, 3), (1, 4), (2, 4), (1, 3, 4), (3, 4)]
         # (1, 3, 4) was pushed from (1, 3), so its arcs to (1, 4) close the cycle
@@ -378,20 +412,20 @@ class TestWalk:
         assert parent[(3, 4)] == (1, 3, 4) and len(parent) == 9
 
     def test_depth_first_from_an_edge(self):
-        events = list(walk(jset_index(self.WHEEL, 2), 2, (1, 2, 3), {}, lifo=True))
+        events = list(walk(jset_lookup(self.WHEEL, 2), 2, (1, 2, 3), {}, lifo=True))
         assert [u for u, v in events if v is None] == [
             (1, 2, 3), (2, 3), (1, 3), (1, 3, 4), (3, 4), (1, 4), (1, 2, 4), (2, 4), (1, 2)]
         assert next((u, v) for u, v in events if v is not None) == ((1, 2, 4), (1, 2))
 
     def test_hypertree_has_no_cycle_arc(self):
-        edges = [(1, 2, 3), (2, 3, 4), (3, 4, 5)]
+        h = Hypergraph(5, 3, [(1, 2, 3), (2, 3, 4), (3, 4, 5)])
         for lifo in (False, True):
             parent = {}
-            events = list(walk(jset_index(edges, 2), 2, (2, 3), parent, lifo=lifo))
+            events = list(walk(jset_lookup(h, 2), 2, (2, 3), parent, lifo=lifo))
             assert all(v is None for _, v in events) and len(events) == len(parent) == 10
 
     def test_unindexed_jset_is_popped_alone(self):
-        assert list(walk(jset_index(self.WHEEL, 2), 2, (5, 6), {})) == [((5, 6), None)]
+        assert list(walk(jset_lookup(self.WHEEL, 2), 2, (5, 6), {})) == [((5, 6), None)]
 
 
 class TestWheels:

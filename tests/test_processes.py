@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hyperlab.combinatorics import TheoryParams
-from hyperlab.errors import ValidationError
+from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import Hypergraph, j_components, sample
 from hyperlab.processes import (
     branching_with_rate,
@@ -128,6 +128,31 @@ class TestBranching:
     def test_cap_validation(self):
         with pytest.raises(ValidationError):
             branching_with_rate(10, 3, 2, 0.1, (1, 2), seed=0, cap=0)
+
+    def test_refuses_bad_n_k_j(self):
+        # j >= k, j < 1, k > n and k < 2 have no process to run
+        for n, k, j in [(10, 3, 3), (10, 3, 4), (10, 3, 0), (2, 3, 1), (10, 1, 1)]:
+            with pytest.raises(ValidationError):
+                branching_with_rate(n, k, j, 0.1, tuple(range(1, j + 1)), seed=0)
+
+
+class TestFanOutRefusal:
+    # At (n, k, j) = (60, 60, 30) each k-set has C(60, 30) j-subsets: one
+    # branching hit, or one popped edge, would list them all.
+    START = tuple(range(1, 31))
+    H = Hypergraph(60, 60, [tuple(range(1, 61))])
+
+    def test_branching(self):
+        with pytest.raises(ResourceLimitError):
+            branching_with_rate(60, 60, 30, 1.0, self.START, seed=0)
+
+    def test_search(self):
+        with pytest.raises(ResourceLimitError):
+            search_component(self.H, 30, self.START)
+
+    def test_coupling(self):
+        with pytest.raises(ResourceLimitError):
+            coupled_run(self.H, TheoryParams(60, 60, 30, 0.3), self.START, 0)
 
 
 class TestCoupling:
