@@ -1,23 +1,20 @@
 """Random k-uniform hypergraphs and their j-connected components.
 
 Two hyperedges lie in the same j-component when they are joined by a walk
-of hyperedges whose consecutive intersections have at least j vertices.
-Two edges sharing >= j vertices share at least one j-subset, so the walk
-relation is reachability in the bipartite incidence graph between edges and
-the j-sets they contain.
+of hyperedges whose consecutive intersections have at least j vertices,
+that is, whose consecutive edges share a j-set.
 
 Edges have one representation, the (m, k) integer array `Hypergraph.array`
 in colex order, checked whole in a few array operations; tuples appear only
 at the boundary (`Hypergraph.edges`, built on each access, and witnesses).
 `sample` draws its uniforms in blocks, turns them into geometric gaps and
 cumulative colex ranks, and unranks them all at once (`unrank_array`).
-One helper ranks every j-subset of every edge (`rank_array`).  From those
-ranks `_decompose` finds the components of the incidence graph by
-hook-and-shortcut and returns the columns that the Monte Carlo trial reads
-and `j_components` turns into summaries, witnesses and a j-set map, and
-`jset_lookup` sorts them into a map from a j-set to its edges.  Over that
-map one traversal, `walk`, serves wheel finding (depth-first, stopping at
-the first arc that closes a cycle), the component search and coupling.
+One helper ranks every j-subset of every edge and sorts the ranks.  Equal
+neighbours among them link two edges through a shared j-set, and
+`_decompose` finds the components of that edge graph by hook-and-shortcut;
+`jset_lookup` turns the sorted ranks into a map from a j-set to its edges.
+Over that map one traversal, `walk`, serves the component search, coupling
+and the one witness routine, `find_wheel`, which reads only the component.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -270,20 +267,22 @@ def _check_subsets(n: int, k: int, j: int) -> None:
         )
 
 
-def _subset_ranks(h: Hypergraph, j: int) -> np.ndarray:
-    # row e*C(k,j) + i ranks the i-th of edge e's j-subsets in `combinations` order
+def _sorted_subsets(h: Hypergraph, j: int) -> tuple[np.ndarray, np.ndarray]:
+    # The colex ranks of every edge's j-subsets, stably sorted, and where each
+    # sat before: row e*C(k,j) + i, edge e's i-th j-subset in `combinations` order.
     _check_subsets(h.n, h.k, j)
-    return rank_array(h.array[:, list(combinations(range(h.k), j))].reshape(-1, j), h.n)
+    ranks = rank_array(h.array[:, list(combinations(range(h.k), j))].reshape(-1, j), h.n)
+    order = np.argsort(ranks, kind="stable")
+    return ranks[order], order
 
 
 def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]]]:
     """Return a function from a j-set (a sorted tuple) to the edges of `h`
     containing it, as tuples in colex order.  It ranks the j-set exactly and
-    bisects the stably sorted j-subset ranks as Python ints (exact for object).
+    bisects the sorted j-subset ranks as Python ints (exact for object).
     """
-    ranks = _subset_ranks(h, j)
-    order = np.argsort(ranks, kind="stable")
-    keys, rows = ranks[order].tolist(), (order // math.comb(h.k, j)).tolist()
+    ranks, order = _sorted_subsets(h, j)
+    keys, rows = ranks.tolist(), (order // math.comb(h.k, j)).tolist()
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
         rank = sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
@@ -327,11 +326,11 @@ def j_components(
     Isolated j-sets (order 1, size 0) are not materialized; their count is
     C(n, j) minus the map's length.
     """
-    sizes, orders, flags, roots, (keys, first, jset_cid) = _decompose(h, j)
-    witnesses: list[Optional[Wheel]] = [None] * len(sizes)
-    edges_of = None if flags.all() else jset_lookup(h, j)
-    for cid in np.flatnonzero(~flags).tolist():  # a witness DFS from the component's first edge
-        witnesses[cid] = _first_wheel(edges_of, j, tuple(h.array[roots[cid]].tolist()))
+    sizes, orders, flags, edge_cid, (keys, first, jset_cid) = _decompose(h, j)
+    # each component's rows, in colex order, end at its cumulative size
+    rows, ends = np.argsort(edge_cid, kind="stable"), np.cumsum(sizes).tolist()
+    witnesses = [None if flag else find_wheel(h, j, h.array[rows[end - size:end]])
+                 for flag, size, end in zip(flags.tolist(), sizes.tolist(), ends)]
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
     touch = np.argsort(first)
@@ -340,30 +339,34 @@ def j_components(
 
 def _decompose(h: Hypergraph, j: int) -> tuple:
     # The j-components as columns: per component, in id order, its size,
-    # order, hypertree flag and first edge (its row); and per distinct
-    # j-set, in rank order, its colex rank, its first row among the edges'
-    # j-subsets and its component id.
-    ranks = _subset_ranks(h, j)
-    m = len(h.array)
-    c0 = math.comb(h.k, j) - 1
-    keys, first, jset = np.unique(ranks, return_index=True, return_inverse=True)
-    # nodes: edges 0..m-1, then j-sets; each root is its component's first edge
-    root = _least_connected(np.repeat(np.arange(m), c0 + 1), m + jset, m + len(keys))
-    # component ids number the roots in edge order
-    is_root = root[:m] == np.arange(m)
-    edge_cid = (np.cumsum(is_root) - 1)[root[:m]]
-    jset_cid = edge_cid[root[m:]]
+    # order and hypertree flag; per edge, its component id; per distinct
+    # j-set, in rank order, its rank, first row among the j-subsets and
+    # component id.  Equal neighbours in the sorted ranks are one j-set in
+    # two edges, a link, so a j-set in t edges gives t - 1 links, a size-s
+    # component has order C(k,j)*s minus its links, and it is a hypertree
+    # (order 1 + c0*s) iff its links number s - 1.
+    ranks, order = _sorted_subsets(h, j)
+    fan = math.comb(h.k, j)
+    rows = order // fan
+    new = np.diff(ranks, prepend=-1) != 0  # where each distinct rank starts
+    u, v = rows[:-1][~new[1:]], rows[1:][~new[1:]]
+    # each root is its component's first edge; ids number the roots in edge order
+    root = _least_connected(u, v, len(h.array))
+    is_root = root == np.arange(len(root))
+    edge_cid = (np.cumsum(is_root) - 1)[root]
     sizes = np.bincount(edge_cid, minlength=is_root.sum())
-    orders = np.bincount(jset_cid, minlength=len(sizes))
-    return sizes, orders, orders == 1 + c0 * sizes, np.flatnonzero(is_root), (keys, first, jset_cid)
+    orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
+    starts = np.flatnonzero(new)  # order[starts] is each j-set's first row
+    return (sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid,
+            (ranks[starts], order[starts], edge_cid[rows[starts]]))
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
-    # Least node of every node's connected component in the graph on
-    # range(count) with edges (u[i], v[i]), by hooking and shortcutting:
-    # every root hooks onto the least root it shares an edge with, then
+    # Least edge of every edge's component in the graph on range(count)
+    # whose links join edges u[i] and v[i], by hooking and shortcutting:
+    # every root hooks onto the least root it shares a link with, then
     # pointer jumping flattens the trees.  Roots only ever hook onto smaller
-    # roots, so the last root standing is the component's least node.
+    # roots, so the last root standing is the component's least edge.
     parent = np.arange(count)
     while True:
         pu, pv = parent[u], parent[v]
@@ -382,19 +385,17 @@ def find_wheel(
 ) -> Optional[Wheel]:
     """Return a wheel from one component's edges, or None if it is a hypertree.
 
-    `component_edges` must be one whole j-component of `h`, in colex order.
-    The search starts from its first edge; the returned witness is
-    arbitrary, not canonical.
+    `component_edges`, tuples or array rows, must be one whole j-component
+    of `h` in colex order; only n and k are read from `h`.  A depth-first
+    walk over the component's own lookup, from its first edge, stops at the
+    first arc that closes a cycle; the witness is arbitrary, not canonical.
     """
-    if not component_edges:
+    if len(component_edges) < 2:  # a wheel needs two edges
         return None
-    return _first_wheel(jset_lookup(h, j), j, tuple(component_edges[0]))
-
-
-def _first_wheel(edges_of: Callable, j: int, start: tuple) -> Optional[Wheel]:
-    # a depth-first walk: its first non-tree arc closes an alternating cycle, a wheel
+    component = Hypergraph(h.n, h.k, component_edges)
     parent: dict[tuple, Optional[tuple]] = {}
-    for u, v in walk(edges_of, j, start, parent, lifo=True):
+    start = tuple(component.array[0].tolist())
+    for u, v in walk(jset_lookup(component, j), j, start, parent, lifo=True):
         if v is not None:
             break
     else:
@@ -411,9 +412,7 @@ def _first_wheel(edges_of: Callable, j: int, start: tuple) -> Optional[Wheel]:
     path = up_u[:on_u[up_v[-1]] + 1] + up_v[-2::-1]  # u..lca + (lca..v reversed, lca dropped)
     if len(path[0]) == j:
         path = path[1:] + path[:1]
-    edges = tuple(x for x in path if len(x) != j)
-    jsets = tuple(x for x in path if len(x) == j)
-    return Wheel(edges=edges, jsets=jsets)
+    return Wheel(edges=tuple(path[0::2]), jsets=tuple(path[1::2]))  # the cycle alternates
 
 
 def brute_force_wheel_census(n: int, k: int, j: int, ell: int) -> int:

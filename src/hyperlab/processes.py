@@ -129,6 +129,8 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
     # one uniform per candidate k-set, C(n-j, k-j) of them in colex order,
     # and `spawn(jlabel, hits)` turns the k-sets hit with probability p into
     # the k-labels that join the tree, still in colex order.
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     rng = make_generator(seed)
     n_candidates = math.comb(n - j, k - j)
     tree = TwoTypeTree(n=n, k=k, j=j)
@@ -164,8 +166,6 @@ def branching_with_rate(
 ) -> TwoTypeTree:
     """Run the two-type branching process with an explicit edge probability."""
     _check_subsets(n, k, j)  # every k-vertex gets C(k, j) - 1 children
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     root = _validate_jset(root_label, n, j)
@@ -193,7 +193,6 @@ def coupled_run(
     if (h.n, h.k) != (params.n, params.k):
         raise ValidationError("hypergraph and params disagree on (n, k)")
     edges_of = jset_lookup(h, j)
-    component_size = sum(len(u) != j for u, v in walk(edges_of, j, start, {}) if v is None)
     expanded: set[tuple[int, ...]] = set()
 
     def queried_before(klabel: tuple[int, ...]) -> bool:
@@ -210,4 +209,5 @@ def coupled_run(
         return sorted(fresh + repeats, key=lambda e: e[::-1])
 
     tree = _branch(params.n, params.k, j, params.p, start, seed, cap, first_query_rule)
+    component_size = sum(len(u) != j for u, v in walk(edges_of, j, start, {}) if v is None)
     return component_size, tree.size

@@ -373,6 +373,73 @@ def hypergraphs_and_j(draw):
     return Hypergraph.from_edges(n, k, picked), j
 
 
+def jset_bfs_oracle(h, j):
+    """Plain BFS over j-sets, by scanning the edges: per component (in order
+    of its first edge) its size, order and hypertree flag, and the j-set map
+    as (rank, component id) pairs in first-touch order."""
+    edges = list(h.edges)
+    c0 = math.comb(h.k, j) - 1
+    cid_of = {}
+    comps = []
+    for e0 in edges:
+        if e0 in cid_of:
+            continue
+        cid = len(comps)
+        cid_of[e0] = cid
+        queue, jsets = deque([e0]), set()
+        while queue:
+            for s in combinations(queue.popleft(), j):
+                jsets.add(s)
+                for e in edges:
+                    if e not in cid_of and set(s) <= set(e):
+                        cid_of[e] = cid
+                        queue.append(e)
+        size = sum(c == cid for c in cid_of.values())
+        comps.append((size, len(jsets), len(jsets) == 1 + c0 * size))
+    touched = {}
+    for e in edges:
+        for s in combinations(e, j):
+            touched.setdefault(rank_subset(s, h.n), cid_of[e])
+    return comps, list(touched.items())
+
+
+@st.composite
+def crowded_hypergraphs(draw):
+    # n close to k and many edges, so that most j-sets lie in several edges
+    k, j = draw(st.sampled_from(KJ_PAIRS))
+    n = draw(st.integers(k, k + 3))
+    ksets = list(combinations(range(1, n + 1), k))
+    picked = draw(st.lists(st.sampled_from(ksets), unique=True, max_size=len(ksets)))
+    return Hypergraph.from_edges(n, k, picked), j
+
+
+class TestDecompositionOracle:
+    @staticmethod
+    def assert_matches_oracle(h, j):
+        comps, jmap = j_components(h, j)
+        expected, touched = jset_bfs_oracle(h, j)
+        assert [(c.size, c.order, c.is_hypertree) for c in comps] == expected
+        assert list(jmap.items()) == touched
+
+    @settings(max_examples=300, deadline=None)
+    @given(crowded_hypergraphs())
+    def test_matches_a_bfs_over_jsets(self, case):
+        self.assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("k, j", KJ_PAIRS)
+    def test_no_edge_and_one_edge(self, k, j):
+        self.assert_matches_oracle(Hypergraph(k + 2, k, ()), j)
+        self.assert_matches_oracle(Hypergraph(k + 2, k, [tuple(range(2, k + 2))]), j)
+
+    def test_object_dtype_ranks(self):
+        n = 10**10
+        assert colex_dtype(n, 2) is object
+        h = Hypergraph.from_edges(n, 3, [(1, 2, n), (2, n - 1, n), (1, 2, 3), (3, 5 * 10**9, n),
+                                         (2, 5 * 10**9, n - 1), (1, 3, n), (1, 2, n - 1)])
+        for j in (1, 2):
+            self.assert_matches_oracle(h, j)
+
+
 class TestJsetLookup:
     @staticmethod
     def assert_matches_scan(h, j, jsets):
@@ -497,6 +564,39 @@ class TestWheels:
                         wheel.validate()
             count += 1
         assert count == len(cases)
+
+
+class TestFindWheel:
+    @staticmethod
+    def raw(w):
+        return None if w is None else (w.edges, w.jsets)
+
+    def test_tuples_and_rows_give_the_witness_of_j_components(self):
+        n, k, j = 16, 3, 2
+        p = 3 / (2 * math.comb(n - j, k - j))
+        witnesses = 0
+        for seed in range(20):
+            h = sample(n, k, p, trial_seed(19, seed))
+            comps, jmap = j_components(h, j)
+            rows = {}
+            for r, e in enumerate(h.edges):
+                rows.setdefault(jmap[rank_subset(e[:j], n)], []).append(r)
+            for c in comps:
+                as_tuples = find_wheel(h, j, [h.edges[r] for r in rows[c.id]])
+                as_rows = find_wheel(h, j, h.array[rows[c.id]])
+                assert self.raw(as_tuples) == self.raw(as_rows) == self.raw(c.wheel_witness)
+                witnesses += as_rows is not None
+        assert witnesses > 0
+
+    def test_a_disjoint_wheel_elsewhere_changes_nothing(self):
+        wheel = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
+        h = Hypergraph.from_edges(9, 3, wheel)
+        both = Hypergraph.from_edges(9, 3, wheel + [(5, 6, 7), (5, 6, 8), (5, 7, 8)])
+        alone = find_wheel(h, 2, wheel)
+        assert self.raw(find_wheel(both, 2, wheel)) == self.raw(alone)
+        comps, _ = j_components(both, 2)
+        assert [c.is_hypertree for c in comps] == [False, False]
+        assert self.raw(comps[0].wheel_witness) == self.raw(alone)
 
 
 class TestWheelCensus:

@@ -126,8 +126,9 @@ class TestBranching:
         assert t.count_type_j() == 1 + 2 * t.size
 
     def test_cap_validation(self):
-        with pytest.raises(ValidationError):
-            branching_with_rate(10, 3, 2, 0.1, (1, 2), seed=0, cap=0)
+        for cap in (0, -1):
+            with pytest.raises(ValidationError, match="cap must be >= 1"):
+                branching_with_rate(10, 3, 2, 0.1, (1, 2), seed=0, cap=cap)
 
     def test_refuses_bad_n_k_j(self):
         # j >= k, j < 1, k > n and k < 2 have no process to run
@@ -182,6 +183,14 @@ class TestCoupling:
                 start = h.edges[0][:jj] if h.edges else tuple(range(1, jj + 1))
                 comp, branch = coupled_run(h, params, start, trial_seed(37, s))
                 assert branch >= comp
+
+    def test_cap_validation(self):
+        # with cap 0 the branching size would fall below the component size
+        params = TheoryParams(60, 3, 2, 0.3)
+        h = sample(params.n, params.k, params.p, 1)
+        for cap in (0, -1):
+            with pytest.raises(ValidationError, match="cap must be >= 1"):
+                coupled_run(h, params, h.edges[0][:2], 0, cap=cap)
 
     def test_mismatched_params_rejected(self):
         params = TheoryParams(30, 3, 2, 0.3)
