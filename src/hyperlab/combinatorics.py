@@ -116,16 +116,19 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
 
     Position i (from the top) holds 1 + the largest x with C(x, i) <= rem,
     found by `searchsorted` in the table of C(x, i) over x in [0, n), so
-    the tables cost O(n * size) and every rank O(size * log n).
+    the tables cost O(n * size) and every rank O(size * log n).  The last
+    position needs no table: C(x, 1) = x, so it holds rem + 1.
     """
     xs = np.arange(n).astype(colex_dtype(n, size))
     out = np.empty((len(ranks), size), dtype=np.int64)
     rem = ranks
-    for i in range(size, 0, -1):
+    for i in range(size, 1, -1):
         table = _comb_array(xs, i)
         a = np.searchsorted(table, rem, side="right") - 1
         out[:, i - 1] = a + 1
         rem = rem - table[a]
+    if size:
+        out[:, 0] = rem + 1
     return out
 
 

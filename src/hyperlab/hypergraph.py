@@ -9,10 +9,12 @@ in colex order, checked whole in a few array operations; tuples appear only
 at the boundary (`Hypergraph.edges`, built on each access, and witnesses).
 `sample` draws its uniforms in blocks, turns them into geometric gaps and
 cumulative colex ranks, and unranks them all at once (`unrank_array`).
-One helper ranks every j-subset of every edge and sorts the ranks.  Equal
-neighbours among them link two edges through a shared j-set, and
-`_decompose` finds the components of that edge graph by hook-and-shortcut;
-`jset_lookup` turns the sorted ranks into a map from a j-set to its edges.
+One helper ranks every j-subset of every edge, packs each rank with the
+subset's row into one key, rank * count + row, and sorts the keys by
+value; being unique, they fall in the stable order of the ranks.  Equal
+neighbouring ranks link two edges through a shared j-set, and `_decompose`
+finds the components of that edge graph by hook-and-shortcut;
+`jset_lookup` bisects the sorted keys to map a j-set to its edges.
 Over that map one traversal, `walk`, serves the component search, coupling
 and the one witness routine, `find_wheel`, which reads only the component.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
@@ -41,19 +43,26 @@ from .rng import make_generator
 class Hypergraph:
     """A k-uniform hypergraph on [1, n] with edges stored in colex order.
 
-    `edges` is a sequence of vertex tuples or an (m, k) integer numpy array.
-    Either way the hypergraph keeps only one validated, read-only (m, k)
-    array, `array` (int64, or object when a vertex passes the int64 range);
-    `edges` builds the same edges as tuples on each access.
+    `edges` is a sequence of vertex tuples or an (m, k) integer numpy array
+    (an unsigned one is read as Python ints).  Either way the hypergraph
+    keeps only one validated, read-only (m, k) array, `array` (int64, or
+    object when a vertex passes the int64 range); `edges` builds the same
+    edges as tuples on each access.
     """
 
     def __init__(self, n: int, k: int, edges) -> None:
         self.n, self.k = n, k
+        if isinstance(edges, np.ndarray) and edges.dtype.kind == "u":
+            edges = edges.tolist()  # Python ints: uint64 past int64 takes the object path
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
             # a view, so that making it read-only leaves the caller's array writeable
             self.array = edges.astype(np.int64, copy=False).view()
         else:
-            self.array = tuple(map(tuple, edges))
+            try:
+                self.array = tuple(map(tuple, edges))
+            except TypeError as exc:  # a 1-D array, or a flat list of vertices
+                raise ValidationError(
+                    "edges must be vertex sequences or a 2-D integer array") from exc
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -267,27 +276,39 @@ def _check_subsets(n: int, k: int, j: int) -> None:
         )
 
 
-def _sorted_subsets(h: Hypergraph, j: int) -> tuple[np.ndarray, np.ndarray]:
-    # The colex ranks of every edge's j-subsets, stably sorted, and where each
-    # sat before: row e*C(k,j) + i, edge e's i-th j-subset in `combinations` order.
+def _sorted_keys(h: Hypergraph, j: int) -> tuple[np.ndarray, int]:
+    # Every edge's j-subsets as keys rank * count + row, sorted by value, and
+    # count, the number of rows: row e*C(k,j) + i is edge e's i-th j-subset
+    # in `combinations` order.  The keys are unique, so their value order is
+    # the stable order of the ranks: key // count is the sorted rank and
+    # key % count the row it sat in.  int64 while every key fits, else object.
     _check_subsets(h.n, h.k, j)
-    ranks = rank_array(h.array[:, list(combinations(range(h.k), j))].reshape(-1, j), h.n)
-    order = np.argsort(ranks, kind="stable")
-    return ranks[order], order
+    keys = rank_array(h.array[:, list(combinations(range(h.k), j))].reshape(-1, j), h.n)
+    count = len(keys)
+    rows = np.arange(count)
+    if keys.dtype != object and math.comb(h.n, j) * count >= 2**63:
+        keys, rows = keys.astype(object), rows.astype(object)
+    keys *= count  # in place: one more array of keys would raise the peak
+    keys += rows
+    keys.sort()
+    return keys, count
 
 
 def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]]]:
     """Return a function from a j-set (a sorted tuple) to the edges of `h`
     containing it, as tuples in colex order.  It ranks the j-set exactly and
-    bisects the sorted j-subset ranks as Python ints (exact for object).
+    bisects one Python list, the sorted keys rank * count + row of every
+    edge's j-subsets (count rows, C(k,j) per edge), for the run
+    [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge.
     """
-    ranks, order = _sorted_subsets(h, j)
-    keys, rows = ranks.tolist(), (order // math.comb(h.k, j)).tolist()
+    keys, count = _sorted_keys(h, j)
+    keys, fan = keys.tolist(), math.comb(h.k, j)
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
-        rank = sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
-        lo = bisect_left(keys, rank)
-        return [tuple(h.array[r].tolist()) for r in rows[lo:bisect_right(keys, rank, lo)]]
+        low = count * sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
+        lo = bisect_left(keys, low)
+        return [tuple(h.array[key % count // fan].tolist())
+                for key in keys[lo:bisect_left(keys, low + count, lo)]]
 
     return edges_of
 
@@ -345,20 +366,22 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     # two edges, a link, so a j-set in t edges gives t - 1 links, a size-s
     # component has order C(k,j)*s minus its links, and it is a hypertree
     # (order 1 + c0*s) iff its links number s - 1.
-    ranks, order = _sorted_subsets(h, j)
+    ranks, count = _sorted_keys(h, j)
+    order = (ranks % count).astype(np.intp, copy=False)
+    ranks //= count
     fan = math.comb(h.k, j)
-    rows = order // fan
     new = np.diff(ranks, prepend=-1) != 0  # where each distinct rank starts
-    u, v = rows[:-1][~new[1:]], rows[1:][~new[1:]]
+    u, v = order[:-1][~new[1:]] // fan, order[1:][~new[1:]] // fan
+    # each distinct j-set's rank and first row; rebinding frees the full columns
+    ranks, order = ranks[new], order[new]
     # each root is its component's first edge; ids number the roots in edge order
     root = _least_connected(u, v, len(h.array))
     is_root = root == np.arange(len(root))
     edge_cid = (np.cumsum(is_root) - 1)[root]
     sizes = np.bincount(edge_cid, minlength=is_root.sum())
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
-    starts = np.flatnonzero(new)  # order[starts] is each j-set's first row
     return (sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid,
-            (ranks[starts], order[starts], edge_cid[rows[starts]]))
+            (ranks, order, edge_cid[order // fan]))
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:

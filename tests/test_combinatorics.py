@@ -118,6 +118,21 @@ def test_array_forms_match_scalar_ranking(n, data):
     assert rank_array(rows, n).tolist() == ranks
 
 
+def test_unrank_array_object_ranks_roundtrip():
+    n, size = 70, 35
+    assert colex_dtype(n, size) is object
+    total = math.comb(n, size)
+    ranks = [0, 1, 2**63, total // 3, total - 1]
+    rows = unrank_array(np.array(ranks, dtype=object), size, n)
+    assert rows.tolist() == [unrank_subset(r, size, n) for r in ranks]
+    assert rank_array(rows, n).tolist() == ranks
+
+
+def test_unrank_array_sizes_zero_and_one():
+    assert unrank_array(np.array([0, 0]), 0, 5).shape == (2, 0)
+    assert unrank_array(np.array([0, 4, 2]), 1, 5).tolist() == [[1], [5], [3]]
+
+
 def test_colex_dtype_switches_to_python_ints():
     assert colex_dtype(250, 3) is np.int64
     assert colex_dtype(100, 20) is object

@@ -108,6 +108,25 @@ class TestHypergraphType:
         with pytest.raises(ValidationError, match="arity"):
             Hypergraph(big, big, ((1, 2, 3),))
 
+    @pytest.mark.parametrize("edges", [np.array([1, 2, 3]), [1, 2, 3], np.array(3)])
+    def test_flat_edges_rejected(self, edges):
+        with pytest.raises(ValidationError, match="vertex sequences or a 2-D integer array"):
+            Hypergraph(5, 3, edges)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+    def test_unsigned_arrays_accepted(self, dtype):
+        edges = np.array([[1, 2, 3], [1, 2, 4]], dtype=dtype)
+        h = Hypergraph(5, 3, edges)
+        assert h.edges == ((1, 2, 3), (1, 2, 4)) and h.array.dtype == np.int64
+        with pytest.raises(ValidationError, match="exceeds n=3"):
+            Hypergraph(3, 3, edges)
+
+    def test_uint64_past_int64_takes_python_ints(self):
+        n = 2**64
+        h = Hypergraph(n, 3, np.array([[1, 2, 3], [1, 2, n - 1]], dtype=np.uint64))
+        assert h.array.dtype == object and h.edges == ((1, 2, 3), (1, 2, n - 1))
+        assert [c.size for c in j_components(h, 2)[0]] == [2]
+
     def test_from_edges_sorts_by_rank(self):
         h = Hypergraph.from_edges(5, 3, [[1, 3, 4], [3, 2, 1]])
         assert h.edges == ((1, 2, 3), (1, 3, 4))
@@ -438,6 +457,58 @@ class TestDecompositionOracle:
                                          (2, 5 * 10**9, n - 1), (1, 3, n), (1, 2, n - 1)])
         for j in (1, 2):
             self.assert_matches_oracle(h, j)
+
+
+ALL_KJ = [(k, j) for k in (2, 3, 4) for j in range(1, k)]
+
+
+class TestSortedKeys:
+    @staticmethod
+    def assert_matches_stable_argsort(h, j):
+        keys, count = hypergraph._sorted_keys(h, j)
+        # exact scalar ranks, in object arrays so that no rank can wrap
+        ranks = np.array([rank_subset(s, h.n) for e in h.edges for s in combinations(e, j)],
+                         dtype=object)
+        order = np.argsort(ranks, kind="stable")
+        assert count == len(ranks)
+        assert [key // count for key in keys.tolist()] == ranks[order].tolist()
+        assert [key % count for key in keys.tolist()] == order.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALL_KJ), st.data())
+    def test_matches_a_stable_argsort(self, kj, data):
+        k, j = kj
+        n = data.draw(st.integers(k, 9))
+        ksets = list(combinations(range(1, n + 1), k))
+        picked = data.draw(st.lists(st.sampled_from(ksets), unique=True, max_size=len(ksets)))
+        self.assert_matches_stable_argsort(Hypergraph.from_edges(n, k, picked), j)
+
+    @pytest.mark.parametrize("k, j", ALL_KJ)
+    def test_empty_hypergraph(self, k, j):
+        self.assert_matches_stable_argsort(Hypergraph(k + 2, k, ()), j)
+
+    def test_object_dtype_ranks(self):
+        n = 10**10
+        assert colex_dtype(n, 2) is object
+        h = Hypergraph.from_edges(n, 3, [(1, 2, n), (2, n - 1, n), (1, 2, 3), (3, 5 * 10**9, n),
+                                         (2, 5 * 10**9, n - 1), (1, 3, n), (1, 2, n - 1)])
+        for j in (1, 2):
+            self.assert_matches_stable_argsort(h, j)
+        assert hypergraph._sorted_keys(h, 2)[0].dtype == object
+
+    def test_int64_ranks_whose_keys_pass_int64(self):
+        # C(n, 2) ranks fit int64, but C(n, 2) * 6 keys do not
+        n = 2**31 - 1
+        assert colex_dtype(n, 2) is np.int64 and math.comb(n, 2) * 6 >= 2**63
+        h = Hypergraph(n, 3, [(1, 2, 3), (1, 2, n)])
+        assert hypergraph._sorted_keys(h, 2)[0].dtype == object
+        self.assert_matches_stable_argsort(h, 2)
+        comps, jmap = j_components(h, 2)
+        assert [(c.size, c.order, c.is_hypertree) for c in comps] == [(2, 5, True)]
+        assert list(jmap) == [0, 1, 2, rank_subset((1, n), n), rank_subset((2, n), n)]
+        assert jset_lookup(h, 2)((1, 2)) == [(1, 2, 3), (1, 2, n)]
+        assert jset_lookup(h, 2)((2, n)) == [(1, 2, n)]
+        assert jset_lookup(h, 2)((3, n)) == []
 
 
 class TestJsetLookup:
