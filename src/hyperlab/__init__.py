@@ -4,10 +4,7 @@ Monte Carlo verification of the largest-component size law."""
 
 from .combinatorics import (
     TheoryParams,
-    binomial,
-    falling_factorial,
     rank_subset,
-    subsets_colex,
     unrank_subset,
 )
 from .enumeration import (

@@ -16,7 +16,7 @@ from dataclasses import MISSING, fields
 from fractions import Fraction
 from typing import get_type_hints
 
-from .combinatorics import TheoryParams, binomial
+from .combinatorics import TheoryParams, check_domain
 from .enumeration import (
     enum_report,
     exp_reciprocal_bounds,
@@ -128,7 +128,8 @@ def _cmd_gen(args) -> int:
     else:
         j = args.j if args.j is not None else args.k - 1
         p = TheoryParams(args.n, args.k, j, args.epsilon).p
-    if 2 <= args.k <= args.n and 0.0 <= p <= 1.0:  # else sample reports the bad argument
+    check_domain(args.n, args.k)
+    if 0.0 <= p <= 1.0:  # else sample reports the bad p
         check_edge_budget(args.n, args.k, p)
     h = sample(args.n, args.k, p, args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
@@ -139,13 +140,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_components(args) -> int:
     h = read_hypergraph(_read_text(args.infile))
+    check_domain(h.n, h.k, args.j)
     # C(n, j) >= (n/j)^j: refuse before the decomposition, and before
-    # computing a count that cannot print (j_components reports a bad j)
+    # computing a count that cannot print
     limit = sys.get_int_max_str_digits()
-    if limit and 1 <= args.j < h.k and args.j * (math.log10(h.n) - math.log10(args.j)) > limit + 1:
+    if limit and args.j * (math.log10(h.n) - math.log10(args.j)) > limit + 1:
         raise ResourceLimitError(f"the isolated j-set count would print over {limit} digits")
     comps, jset_map = j_components(h, args.j)
-    isolated = _str(binomial(h.n, args.j) - len(jset_map))
+    isolated = _str(math.comb(h.n, args.j) - len(jset_map))
     print("id size order hypertree")
     for c in comps:
         print(f"{c.id} {c.size} {c.order} {'yes' if c.is_hypertree else 'no'}")

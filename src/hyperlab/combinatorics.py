@@ -23,18 +23,12 @@ import numpy as np
 from .errors import ValidationError
 
 
-def binomial(n: int, r: int) -> int:
-    """Binomial coefficient C(n, r) as an exact integer; 0 when r > n."""
-    if n < 0 or r < 0:
-        raise ValidationError(f"binomial needs non-negative arguments, got ({n}, {r})")
-    return math.comb(n, r)
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n * (n-1) * ... * (n-k+1); 1 when k = 0, 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValidationError(f"falling_factorial needs non-negative arguments, got ({n}, {k})")
-    return math.perm(n, k)
+def check_domain(n: int, k: int, j: int | None = None) -> None:
+    """Refuse (n, k, j) outside n >= k >= 2 and 1 <= j <= k-1; with j None,
+    only (n, k) is checked.  Every entry point that takes them calls this."""
+    if not (2 <= k <= n and (j is None or 1 <= j <= k - 1)):
+        got = f"n={n}, k={k}" if j is None else f"n={n}, k={k}, j={j}"
+        raise ValidationError(f"need n >= k >= 2 and 1 <= j <= k-1, got {got}")
 
 
 def _validate_subset(s, n: int) -> None:
@@ -132,19 +126,6 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     return out
 
 
-def subsets_colex(pool, r: int):
-    """Yield the r-subsets of a sorted pool in colex order (as tuples)."""
-    pool = tuple(pool)
-    if r == 0:
-        yield ()
-        return
-    if r > len(pool):
-        return
-    for top in range(r - 1, len(pool)):
-        for rest in subsets_colex(pool[:top], r - 1):
-            yield rest + (pool[top],)
-
-
 @dataclass(frozen=True)
 class TheoryParams:
     """Model parameters (n, k, j, epsilon) and the constants derived from them.
@@ -167,12 +148,7 @@ class TheoryParams:
     lam: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
-        if not 1 <= self.j <= self.k - 1:
-            raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={self.j}, k={self.k}")
-        if self.n < self.k:
-            raise ValidationError(f"n must be >= k, got n={self.n}, k={self.k}")
+        check_domain(self.n, self.k, self.j)
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         pairs = ((self.k, self.j), (self.n - self.j, self.k - self.j), (self.n, self.j))

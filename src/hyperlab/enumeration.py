@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import TheoryParams
+from .combinatorics import TheoryParams, check_domain
 from .errors import ResourceLimitError, ValidationError
 
 # Largest s of the B_s bounds; their log-space sum over s terms takes 0.1 s there.
@@ -74,12 +74,6 @@ class RationalSeries:
         order = min(self.order, other.order)
         return RationalSeries(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        order = min(self.order, other.order)
-        return RationalSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], order
         )
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
@@ -245,8 +239,7 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
     generations; hypertree_only keeps trees whose labels are all distinct.
     Guarded to C(n, k) <= 50 and s <= 4.
     """
-    if not (k >= 2 and 1 <= j <= k - 1 and n >= k):
-        raise ValidationError(f"need n >= k > j >= 1, got n={n}, k={k}, j={j}")
+    check_domain(n, k, j)
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
     if math.comb(n, k) > 50 or s > 4:
@@ -317,8 +310,7 @@ def _wheel_factors(n: int, k: int, j: int, ell: int) -> tuple[Fraction, int]:
     # c_w and 1/p0 = c0 C(n-j, k-j), the factors of the wheel-count bound
     if ell < 2:
         raise ValidationError(f"wheel length must be >= 2, got {ell}")
-    if not (k >= 2 and 1 <= j <= k - 1 and n >= k):
-        raise ValidationError(f"need n >= k > j >= 1, got n={n}, k={k}, j={j}")
+    check_domain(n, k, j)
     return wheel_constant(k, j), (math.comb(k, j) - 1) * math.comb(n - j, k - j)
 
 

@@ -16,7 +16,9 @@ neighbouring ranks link two edges through a shared j-set, and `_decompose`
 finds the components of that edge graph by hook-and-shortcut;
 `jset_lookup` bisects the sorted keys to map a j-set to its edges.
 Over that map one traversal, `walk`, serves the component search, coupling
-and the one witness routine, `find_wheel`, which reads only the component.
+and the one witness routine, `find_wheel`, a depth-first walk from any edge
+or j-set of a component.  `j_components` builds one map, over the edges of
+its non-hypertree components, and walks it from each one's first edge.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -35,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .combinatorics import colex_dtype, rank_array, rank_subset, unrank_array
+from .combinatorics import check_domain, colex_dtype, rank_array, rank_subset, unrank_array
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -66,8 +68,7 @@ class Hypergraph:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.k < 2 or self.n < self.k:
-            raise ValidationError(f"need n >= k >= 2, got n={self.n}, k={self.k}")
+        check_domain(self.n, self.k)
         given = self.array
         bad, self.array = _first_invalid_edge(given, self.n, self.k)
         if bad < len(given):
@@ -170,8 +171,7 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     `unrank_array`.  Identical (n, k, p, seed) give identical hypergraphs,
     bit for bit.
     """
-    if k < 2 or n < k:
-        raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
+    check_domain(n, k)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
@@ -265,10 +265,7 @@ def _first_false(flags: np.ndarray) -> int:
 
 
 def _check_subsets(n: int, k: int, j: int) -> None:
-    if k < 2 or n < k:
-        raise ValidationError(f"need n >= k >= 2, got n={n}, k={k}")
-    if not 1 <= j <= k - 1:
-        raise ValidationError(f"j must satisfy 1 <= j <= k-1, got j={j}, k={k}")
+    check_domain(n, k, j)
     # C(k, j) >= 2^min(j, k-j), so from 24 on the cap is passed without C(k, j)
     if min(j, k - j) >= 24 or math.comb(k, j) * j > MAX_TEMPLATE_CELLS:
         raise ResourceLimitError(
@@ -348,10 +345,15 @@ def j_components(
     C(n, j) minus the map's length.
     """
     sizes, orders, flags, edge_cid, (keys, first, jset_cid) = _decompose(h, j)
-    # each component's rows, in colex order, end at its cumulative size
-    rows, ends = np.argsort(edge_cid, kind="stable"), np.cumsum(sizes).tolist()
-    witnesses = [None if flag else find_wheel(h, j, h.array[rows[end - size:end]])
-                 for flag, size, end in zip(flags.tolist(), sizes.tolist(), ends)]
+    # one lookup over the rows of the non-hypertree components: a walk from
+    # a component's first row never leaves that component
+    cyclic = ~flags[edge_cid]
+    cids, firsts = np.unique(edge_cid[cyclic], return_index=True)
+    sub = Hypergraph(h.n, h.k, h.array[cyclic])
+    edges_of = jset_lookup(sub, j)
+    witnesses = [None] * len(sizes)
+    for cid, edge in zip(cids.tolist(), sub.array[firsts].tolist()):
+        witnesses[cid] = find_wheel(edges_of, j, tuple(edge))
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
     touch = np.argsort(first)
@@ -403,22 +405,16 @@ def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
             parent = grand
 
 
-def find_wheel(
-    h: Hypergraph, j: int, component_edges: list[tuple[int, ...]]
-) -> Optional[Wheel]:
-    """Return a wheel from one component's edges, or None if it is a hypertree.
+def find_wheel(edges_of: Callable, j: int, start: tuple) -> Optional[Wheel]:
+    """Return a wheel of the j-component of `start`, or None if it is a hypertree.
 
-    `component_edges`, tuples or array rows, must be one whole j-component
-    of `h` in colex order; only n and k are read from `h`.  A depth-first
-    walk over the component's own lookup, from its first edge, stops at the
-    first arc that closes a cycle; the witness is arbitrary, not canonical.
+    `start` is any edge or j-set of the component, and `edges_of` a
+    `jset_lookup` over at least that component's edges.  A depth-first
+    `walk` from `start` stops at the first arc that closes a cycle; the
+    witness is arbitrary, not canonical, and reads only the component.
     """
-    if len(component_edges) < 2:  # a wheel needs two edges
-        return None
-    component = Hypergraph(h.n, h.k, component_edges)
     parent: dict[tuple, Optional[tuple]] = {}
-    start = tuple(component.array[0].tolist())
-    for u, v in walk(jset_lookup(component, j), j, start, parent, lifo=True):
+    for u, v in walk(edges_of, j, start, parent, lifo=True):
         if v is not None:
             break
     else:
@@ -447,8 +443,7 @@ def brute_force_wheel_census(n: int, k: int, j: int, ell: int) -> int:
     """
     if ell < 2:
         raise ValidationError(f"wheel length must be >= 2, got {ell}")
-    if not 1 <= j <= k - 1 or n < k:
-        raise ValidationError(f"need n >= k > j >= 1, got n={n}, k={k}, j={j}")
+    check_domain(n, k, j)
     if n > 10 or ell > 4:
         raise ResourceLimitError(f"census guard: need n <= 10 and ell <= 4, got n={n}, ell={ell}")
 

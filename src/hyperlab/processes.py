@@ -105,8 +105,8 @@ def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
     (k-j)-vertex complements; component size and order do not depend on
     that order, traces do.
     """
-    edges_of = jset_lookup(h, j)
     start = _validate_jset(start, h.n, j)
+    edges_of = jset_lookup(h, j)
     parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
     pops = [("J" if len(u) == j else "K", u)
             for u, v in walk(edges_of, j, start, parent) if v is None]

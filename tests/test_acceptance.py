@@ -24,6 +24,7 @@ from hyperlab.hypergraph import (
     brute_force_wheel_census,
     find_wheel,
     j_components,
+    jset_lookup,
     sample,
 )
 from hyperlab.processes import coupled_run
@@ -138,12 +139,13 @@ def test_c05_hypertree_iff_no_wheel():
         for seed in range(34):
             h = sample(n, k, p, trial_seed(600 + case_idx, seed))
             comps, jmap = j_components(h, j)
+            edges_of = jset_lookup(h, j)
             groups: dict[int, list] = {}
             for e in h.edges:
                 cid = jmap[rank_subset(next(iter(combinations(e, j))), n)]
                 groups.setdefault(cid, []).append(e)
             for c in comps:
-                wheel = find_wheel(h, j, groups[c.id])
+                wheel = find_wheel(edges_of, j, groups[c.id][0])
                 assert c.order <= 1 + c0 * c.size
                 identity = c.order == 1 + c0 * c.size
                 assert identity == (wheel is None)

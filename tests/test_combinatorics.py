@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -8,46 +9,23 @@ from hypothesis import strategies as st
 
 from hyperlab.combinatorics import (
     TheoryParams,
-    binomial,
     colex_dtype,
-    falling_factorial,
     rank_array,
     rank_subset,
-    subsets_colex,
     unrank_array,
     unrank_subset,
 )
+from hyperlab.enumeration import brute_force_Bs, wheel_bound_exact
 from hyperlab.errors import ValidationError
-
-
-def test_binomial_small_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(250, 2) == 250 * 249 // 2
-    assert binomial(3, 5) == 0
-
-
-def test_binomial_pascal_recurrence_exhaustive():
-    for n in range(1, 65):
-        for r in range(1, n + 1):
-            assert binomial(n, r) == binomial(n - 1, r - 1) + binomial(n - 1, r)
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValidationError):
-        binomial(-1, 2)
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(3, 0) == 1
-    assert falling_factorial(4, 5) == 0
-
-
-def test_falling_factorial_factorial_identity():
-    for n in range(0, 21):
-        for k in range(0, n + 1):
-            assert falling_factorial(n, k) * math.factorial(n - k) == math.factorial(n)
+from hyperlab.experiments import ExperimentConfig
+from hyperlab.hypergraph import (
+    Hypergraph,
+    brute_force_wheel_census,
+    j_components,
+    jset_lookup,
+    sample,
+)
+from hyperlab.processes import branching_with_rate
 
 
 def _colex_precedes(a, b):
@@ -83,14 +61,14 @@ def test_unrank_matches_comparator_oracle():
 
 
 def test_rank_unrank_inverse_full_range():
-    for r in range(binomial(10, 3)):
+    for r in range(math.comb(10, 3)):
         assert rank_subset(unrank_subset(r, 3, 10), 10) == r
 
 
 @pytest.mark.parametrize("n,size", [(6, 2), (8, 3), (12, 4), (9, 1), (5, 5)])
 def test_rank_is_bijection(n, size):
     ranks = {rank_subset(s, n) for s in combinations(range(1, n + 1), size)}
-    assert ranks == set(range(binomial(n, size)))
+    assert ranks == set(range(math.comb(n, size)))
 
 
 @given(
@@ -100,7 +78,7 @@ def test_rank_is_bijection(n, size):
 @settings(max_examples=150, deadline=None)
 def test_rank_unrank_roundtrip_property(n, data):
     size = data.draw(st.integers(min_value=0, max_value=min(n, 6)))
-    rank = data.draw(st.integers(min_value=0, max_value=binomial(n, size) - 1))
+    rank = data.draw(st.integers(min_value=0, max_value=math.comb(n, size) - 1))
     subset = unrank_subset(rank, size, n)
     assert rank_subset(subset, n) == rank
 
@@ -157,12 +135,6 @@ def test_unrank_range_error():
         unrank_subset(-1, 2, 4)
 
 
-def test_subsets_colex_streams_in_rank_order():
-    pool = list(range(1, 9))
-    seen = [rank_subset(s, 8) for s in subsets_colex(pool, 3)]
-    assert seen == list(range(len(seen))) and len(seen) == binomial(8, 3)
-
-
 class TestTheoryParams:
     def test_derived_values(self):
         p = TheoryParams(250, 3, 2, 0.3)
@@ -198,3 +170,33 @@ class TestTheoryParams:
     def test_validation(self, n, k, j, eps):
         with pytest.raises(ValidationError):
             TheoryParams(n, k, j, eps)
+
+
+# Entry points that take (n, k) meet only the triples with a bad (n, k),
+# and those that take a Hypergraph, which has a valid (n, k), only those
+# with a bad j.
+BAD_NK, BAD_J = [(3, 1, 1), (2, 3, 1)], [(5, 3, 0), (5, 3, 3)]
+DOMAIN_ENTRY_POINTS = {
+    "TheoryParams": (lambda n, k, j: TheoryParams(n, k, j, 0.3), BAD_NK + BAD_J),
+    "ExperimentConfig": (lambda n, k, j: ExperimentConfig(n, k, j, 0.3, trials=1), BAD_NK + BAD_J),
+    "Hypergraph": (lambda n, k, j: Hypergraph(n, k, ()), BAD_NK),
+    "sample": (lambda n, k, j: sample(n, k, 0.5, 0), BAD_NK),
+    "j_components": (lambda n, k, j: j_components(Hypergraph(n, k, ()), j), BAD_J),
+    "jset_lookup": (lambda n, k, j: jset_lookup(Hypergraph(n, k, ()), j), BAD_J),
+    "branching_with_rate": (
+        lambda n, k, j: branching_with_rate(n, k, j, 0.1, tuple(range(1, j + 1)), seed=0),
+        BAD_NK + BAD_J),
+    "brute_force_Bs": (lambda n, k, j: brute_force_Bs(n, k, j, 1), BAD_NK + BAD_J),
+    "wheel_bound_exact": (lambda n, k, j: wheel_bound_exact(n, k, j, 3), BAD_NK + BAD_J),
+    "brute_force_wheel_census": (
+        lambda n, k, j: brute_force_wheel_census(n, k, j, 3), BAD_NK + BAD_J),
+}
+
+
+@pytest.mark.parametrize("name,n,k,j", [
+    pytest.param(name, *triple, id=f"{name}-{triple}")
+    for name, (_, triples) in DOMAIN_ENTRY_POINTS.items() for triple in triples])
+def test_every_domain_entry_point_refuses_with_one_message(name, n, k, j):
+    message = re.escape(f"need n >= k >= 2 and 1 <= j <= k-1, got n={n}, k={k}")
+    with pytest.raises(ValidationError, match=f"^{message}(, j={j})?$"):
+        DOMAIN_ENTRY_POINTS[name][0](n, k, j)

@@ -569,15 +569,15 @@ class TestWalk:
 class TestWheels:
     def test_two_edge_hypertree_has_no_wheel(self):
         h = Hypergraph.from_edges(4, 3, [[1, 2, 3], [2, 3, 4]])
-        assert find_wheel(h, 2, list(h.edges)) is None
+        assert find_wheel(jset_lookup(h, 2), 2, h.edges[0]) is None
 
     def test_single_edge_has_no_wheel(self):
         h = Hypergraph.from_edges(4, 3, [[1, 2, 3]])
-        assert find_wheel(h, 2, list(h.edges)) is None
+        assert find_wheel(jset_lookup(h, 2), 2, h.edges[0]) is None
 
     def test_known_wheel_found(self):
         h = Hypergraph.from_edges(4, 3, [[1, 2, 3], [1, 2, 4], [1, 3, 4]])
-        w = find_wheel(h, 2, list(h.edges))
+        w = find_wheel(jset_lookup(h, 2), 2, h.edges[0])
         assert w is not None and w.length == 3
         w.validate()
         expected = Wheel(
@@ -622,13 +622,14 @@ class TestWheels:
             for seed in range(8):
                 h = sample(n, k, p, trial_seed(17, 1000 * count + seed))
                 comps, jmap = j_components(h, j)
+                edges_of = jset_lookup(h, j)
                 c0 = math.comb(k, j) - 1
                 groups = {}
                 for e in h.edges:
                     cid = jmap[rank_subset(next(iter(combinations(e, j))), n)]
                     groups.setdefault(cid, []).append(e)
                 for c in comps:
-                    wheel = find_wheel(h, j, groups[c.id])
+                    wheel = find_wheel(edges_of, j, groups[c.id][0])
                     assert c.is_hypertree == (c.order == 1 + c0 * c.size)
                     assert c.is_hypertree == (wheel is None)
                     if wheel is not None:
@@ -642,32 +643,49 @@ class TestFindWheel:
     def raw(w):
         return None if w is None else (w.edges, w.jsets)
 
-    def test_tuples_and_rows_give_the_witness_of_j_components(self):
+    def test_every_start_gives_a_wheel_of_its_component(self):
         n, k, j = 16, 3, 2
         p = 3 / (2 * math.comb(n - j, k - j))
         witnesses = 0
         for seed in range(20):
             h = sample(n, k, p, trial_seed(19, seed))
             comps, jmap = j_components(h, j)
-            rows = {}
-            for r, e in enumerate(h.edges):
-                rows.setdefault(jmap[rank_subset(e[:j], n)], []).append(r)
+            edges_of = jset_lookup(h, j)
+            groups = {}
+            for e in h.edges:
+                groups.setdefault(jmap[rank_subset(e[:j], n)], []).append(e)
             for c in comps:
-                as_tuples = find_wheel(h, j, [h.edges[r] for r in rows[c.id]])
-                as_rows = find_wheel(h, j, h.array[rows[c.id]])
-                assert self.raw(as_tuples) == self.raw(as_rows) == self.raw(c.wheel_witness)
-                witnesses += as_rows is not None
+                if c.is_hypertree:
+                    continue
+                edges = groups[c.id]
+                jsets = {s for e in edges for s in combinations(e, j)}
+                for start in edges + sorted(jsets):
+                    w = find_wheel(edges_of, j, start)
+                    w.validate()
+                    assert set(w.edges) <= set(edges)
+                # from the first edge, the walk is the one j_components makes
+                assert self.raw(find_wheel(edges_of, j, edges[0])) == self.raw(c.wheel_witness)
+                witnesses += 1
         assert witnesses > 0
 
     def test_a_disjoint_wheel_elsewhere_changes_nothing(self):
         wheel = [(1, 2, 3), (1, 2, 4), (1, 3, 4)]
         h = Hypergraph.from_edges(9, 3, wheel)
         both = Hypergraph.from_edges(9, 3, wheel + [(5, 6, 7), (5, 6, 8), (5, 7, 8)])
-        alone = find_wheel(h, 2, wheel)
-        assert self.raw(find_wheel(both, 2, wheel)) == self.raw(alone)
+        alone = find_wheel(jset_lookup(h, 2), 2, wheel[0])
+        assert self.raw(find_wheel(jset_lookup(both, 2), 2, wheel[0])) == self.raw(alone)
         comps, _ = j_components(both, 2)
         assert [c.is_hypertree for c in comps] == [False, False]
         assert self.raw(comps[0].wheel_witness) == self.raw(alone)
+
+    def test_j_components_builds_at_most_one_lookup(self):
+        two_wheels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (5, 6, 7), (5, 6, 8), (5, 7, 8)]
+        for edges in (two_wheels, [(1, 2, 3), (2, 3, 4)]):
+            h = Hypergraph.from_edges(9, 3, edges)
+            with mock.patch.object(hypergraph, "jset_lookup", wraps=hypergraph.jset_lookup) as spy:
+                comps, _ = j_components(h, 2)
+            assert spy.call_count <= 1
+            assert all(c.is_hypertree == (c.wheel_witness is None) for c in comps)
 
 
 class TestWheelCensus:

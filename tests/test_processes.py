@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hyperlab import processes
 from hyperlab.combinatorics import TheoryParams
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import Hypergraph, j_components, sample
@@ -64,6 +65,15 @@ class TestSearch:
             search_component(h, 2, (1, 2, 3))
         with pytest.raises(ValidationError):
             search_component(h, 2, (2, 1))
+
+    def test_bad_start_is_refused_before_the_lookup(self, monkeypatch):
+        lookups = []
+        monkeypatch.setattr(processes, "jset_lookup", lambda *args: lookups.append(args))
+        h = Hypergraph.from_edges(5, 3, [[1, 2, 3], [2, 3, 4]])
+        for start in [(1, 2, 3), (2, 1), (1, 6)]:
+            with pytest.raises(ValidationError):
+                search_component(h, 2, start)
+        assert lookups == []
 
 
 class TestBranching:
