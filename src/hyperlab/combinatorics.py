@@ -10,7 +10,9 @@ Enumeration-facing arithmetic is exact (Python ints / Fractions);
 probability-facing quantities (p, delta, lambda) are 64-bit floats.  The
 array forms of ranking and unranking (`rank_array`, `unrank_array`) stay
 exact too: they compute in int64 while every intermediate fits and in
-object arrays of Python ints beyond that (`colex_dtype`).
+object arrays of Python ints beyond that (`colex_dtype`).  `rank_array`
+ranks any position-subsets of the rows of an array, whole rows or every
+j-subset of every edge, one column of the array at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def colex_dtype(n: int, size: int) -> type:
 
     int64 while every C(x, i) with x <= n and i <= size, times size, stays
     below 2**62, so that ranks, binomial tables and the products inside
-    `_comb_array` cannot overflow; object (exact Python ints) beyond that.
+    `_comb_array` and `rank_array` cannot overflow; object (exact Python
+    ints) beyond that.
     """
     r = min(size, n // 2)  # C(n, r) >= 2^r, so r >= 62 needs no exact C(n, r)
     return np.int64 if r < 62 and math.comb(n, r) * size < 2**62 else object
@@ -97,16 +100,40 @@ def _comb_array(x: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def rank_array(sets: np.ndarray, n: int) -> np.ndarray:
-    """Colex ranks of the rows of an (m, size) array of sorted subsets of
-    [1, n]; the rows are not validated.  Row-wise equal to `rank_subset`."""
-    x = sets.astype(colex_dtype(n, sets.shape[1])) - 1
-    return sum(_comb_array(x[:, i - 1], i) for i in range(1, sets.shape[1] + 1))
+def rank_array(rows: np.ndarray, n: int, subsets) -> np.ndarray:
+    """The (m, len(subsets)) colex ranks of position-subsets of the rows of
+    an (m, size) array of sorted subsets of [1, n]: entry (e, s) is
+    `rank_subset` of row e's entries at the ascending column indices
+    subsets[s], so a whole row's rank is `subsets=[tuple(range(size))]`.
+    The rows are not validated.
+
+    With x = rows - 1, column c at position i adds C(x_c, i).  Each
+    column's binomials are built upward, C(x_c, i + 1) = C(x_c, i) *
+    (x_c - i) // (i + 1), and each is added to every subset holding the
+    column at that position, so no subset of a row is gathered.
+    """
+    holders: dict[int, dict[int, list[int]]] = {}  # column -> position -> subsets
+    for s, sub in enumerate(subsets):
+        for i, c in enumerate(sub, start=1):
+            holders.setdefault(c, {}).setdefault(i, []).append(s)
+    dtype = colex_dtype(n, max(map(len, subsets), default=0))
+    x = rows.astype(dtype, copy=False) - 1
+    out = np.zeros((len(rows), len(subsets)), dtype)
+    # views: `+=` on one skips the write-back that `out[:, s] += ...` makes
+    ranks = [out[:, s] for s in range(len(subsets))]
+    for c, at in holders.items():
+        comb = x[:, c]
+        for i in range(1, max(at) + 1):
+            if i > 1:
+                comb = comb * (x[:, c] - (i - 1)) // i
+            for s in at.get(i, ()):
+                ranks[s] += comb
+    return out
 
 
 def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
-    """Inverse of `rank_array`: the (len(ranks), size) int64 array whose row
-    r is the subset of [1, n] at colex rank ranks[r].
+    """Inverse of whole-row `rank_array`: the (len(ranks), size) int64 array
+    whose row r is the subset of [1, n] at colex rank ranks[r].
 
     Position i (from the top) holds 1 + the largest x with C(x, i) <= rem,
     found by `searchsorted` in the table of C(x, i) over x in [0, n), so

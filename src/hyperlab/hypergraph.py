@@ -5,16 +5,19 @@ of hyperedges whose consecutive intersections have at least j vertices,
 that is, whose consecutive edges share a j-set.
 
 Edges have one representation, the (m, k) integer array `Hypergraph.array`
-in colex order, checked whole in a few array operations; tuples appear only
-at the boundary (`Hypergraph.edges`, built on each access, and witnesses).
+in colex order, checked one column at a time (ascent, then colex order
+from the top column down); tuples appear only at the boundary
+(`Hypergraph.edges`, built on each access, and witnesses).
 `sample` draws its uniforms in blocks, turns them into geometric gaps and
 cumulative colex ranks, and unranks them all at once (`unrank_array`).
-One helper ranks every j-subset of every edge, packs each rank with the
-subset's row into one key, rank * count + row, and sorts the keys by
+One helper ranks every j-subset of every edge from the edge columns
+(`rank_array`, with no gathered copy of the subsets), packs each rank with
+the subset's row into one key, rank * count + row, and sorts the keys by
 value; being unique, they fall in the stable order of the ranks.  Equal
 neighbouring ranks link two edges through a shared j-set, and `_decompose`
-finds the components of that edge graph by hook-and-shortcut;
-`jset_lookup` bisects the sorted keys to map a j-set to its edges.
+finds the components of that edge graph by hook-and-shortcut, returning
+the sorted subsets unfiltered: only `j_components` picks its j-set map out
+of them.  `jset_lookup` bisects the sorted keys to map a j-set to its edges.
 Over that map one traversal, `walk`, serves the component search, coupling
 and the one witness routine, `find_wheel`, a depth-first walk from any edge
 or j-set of a component.  `j_components` builds one map, over the edges of
@@ -156,8 +159,8 @@ class ComponentSummary:
 _BLOCK = 1 << 16
 # Largest n * k for which `sample` builds its colex tables (32 MiB of int64).
 MAX_TABLE_CELLS = 1 << 22
-# Largest j-subset template of one k-set, C(k, j) rows of j cells; the m
-# copies that rank a hypergraph's j-subsets are bounded by the edge budget.
+# Largest j-subset template of one k-set, C(k, j) subsets of j cells; the
+# C(k, j) ranks per edge of a hypergraph are bounded by the edge budget.
 MAX_TEMPLATE_CELLS = 1 << 24
 
 
@@ -250,14 +253,20 @@ def _first_invalid_edge(edges, n: int, k: int) -> tuple[int, np.ndarray]:
             e = np.fromiter(flat[:end * k], np.int64, end * k).reshape(end, k)
         except OverflowError:  # beyond int64: compare as Python ints
             e = np.array(flat[:end * k], dtype=object).reshape(end, k)
-    ok = (e[:, 0] >= 1) & (e[:, 1:] > e[:, :-1]).all(axis=1) & (e[:, -1] <= n)
+    ok = e[:, 0] >= 1
+    for c in range(1, k):
+        ok &= e[:, c] > e[:, c - 1]
+    ok &= e[:, -1] <= n
     end = _first_false(ok)
     # colex order: at the highest position where consecutive edges differ,
-    # the later edge holds the larger vertex
+    # the later edge holds the larger vertex; `tied` marks the pairs equal
+    # on every column above c
     a, b = e[:end][:-1], e[:end][1:]
-    top = k - 1 - np.argmax((a != b)[:, ::-1], axis=1)
-    rows = np.arange(len(top))
-    return min(end, 1 + _first_false(b[rows, top] > a[rows, top])), e
+    later, tied = np.zeros(len(a), bool), np.ones(len(a), bool)
+    for c in range(k - 1, -1, -1):
+        later |= tied & (b[:, c] > a[:, c])
+        tied &= b[:, c] == a[:, c]
+    return min(end, 1 + _first_false(later)), e
 
 
 def _first_false(flags: np.ndarray) -> int:
@@ -280,13 +289,16 @@ def _sorted_keys(h: Hypergraph, j: int) -> tuple[np.ndarray, int]:
     # the stable order of the ranks: key // count is the sorted rank and
     # key % count the row it sat in.  int64 while every key fits, else object.
     _check_subsets(h.n, h.k, j)
-    keys = rank_array(h.array[:, list(combinations(range(h.k), j))].reshape(-1, j), h.n)
-    count = len(keys)
-    rows = np.arange(count)
+    keys = rank_array(h.array, h.n, list(combinations(range(h.k), j)))
+    count, fan = keys.size, keys.shape[1]
     if keys.dtype != object and math.comb(h.n, j) * count >= 2**63:
-        keys, rows = keys.astype(object), rows.astype(object)
-    keys *= count  # in place: one more array of keys would raise the peak
-    keys += rows
+        keys = keys.astype(object)
+    # in place, the rows broadcast from an m-long and a C(k,j)-long range:
+    # one more array of keys would raise the peak
+    keys *= count
+    keys += np.arange(0, count, fan, dtype=keys.dtype)[:, None]
+    keys += np.arange(fan, dtype=keys.dtype)
+    keys = keys.reshape(-1)
     keys.sort()
     return keys, count
 
@@ -344,7 +356,7 @@ def j_components(
     Isolated j-sets (order 1, size 0) are not materialized; their count is
     C(n, j) minus the map's length.
     """
-    sizes, orders, flags, edge_cid, (keys, first, jset_cid) = _decompose(h, j)
+    sizes, orders, flags, edge_cid, (ranks, order, new) = _decompose(h, j)
     # one lookup over the rows of the non-hypertree components: a walk from
     # a component's first row never leaves that component
     cyclic = ~flags[edge_cid]
@@ -356,34 +368,41 @@ def j_components(
         witnesses[cid] = find_wheel(edges_of, j, tuple(edge))
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
+    # each distinct j-set's rank and first row, at the start of its run
+    keys, first = ranks[new], order[new]
     touch = np.argsort(first)
-    return summaries, dict(zip(keys[touch].tolist(), jset_cid[touch].tolist()))
+    jset_cid = edge_cid[first[touch] // math.comb(h.k, j)]
+    return summaries, dict(zip(keys[touch].tolist(), jset_cid.tolist()))
 
 
 def _decompose(h: Hypergraph, j: int) -> tuple:
     # The j-components as columns: per component, in id order, its size,
-    # order and hypertree flag; per edge, its component id; per distinct
-    # j-set, in rank order, its rank, first row among the j-subsets and
-    # component id.  Equal neighbours in the sorted ranks are one j-set in
-    # two edges, a link, so a j-set in t edges gives t - 1 links, a size-s
-    # component has order C(k,j)*s minus its links, and it is a hypertree
-    # (order 1 + c0*s) iff its links number s - 1.
+    # order and hypertree flag; per edge, its component id; and the sorted
+    # j-subsets, unfiltered: per subset in rank order its rank, its row and
+    # whether it starts a run of equal ranks (a new j-set).  Equal
+    # neighbours in the sorted ranks are one j-set in two edges, a link, so
+    # a j-set in t edges gives t - 1 links, a size-s component has order
+    # C(k,j)*s minus its links, and it is a hypertree (order 1 + c0*s) iff
+    # its links number s - 1.
     ranks, count = _sorted_keys(h, j)
     order = (ranks % count).astype(np.intp, copy=False)
     ranks //= count
     fan = math.comb(h.k, j)
-    new = np.diff(ranks, prepend=-1) != 0  # where each distinct rank starts
-    u, v = order[:-1][~new[1:]] // fan, order[1:][~new[1:]] // fan
-    # each distinct j-set's rank and first row; rebinding frees the full columns
-    ranks, order = ranks[new], order[new]
+    # where each distinct rank starts, with no count-long difference array
+    new = np.empty(count, bool)
+    new[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    link = ~new[1:]
+    u, v = order[:-1][link], order[1:][link]
+    u //= fan
+    v //= fan
     # each root is its component's first edge; ids number the roots in edge order
     root = _least_connected(u, v, len(h.array))
     is_root = root == np.arange(len(root))
     edge_cid = (np.cumsum(is_root) - 1)[root]
     sizes = np.bincount(edge_cid, minlength=is_root.sum())
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
-    return (sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid,
-            (ranks, order, edge_cid[order // fan]))
+    return sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid, (ranks, order, new)
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:

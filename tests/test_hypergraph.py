@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 from itertools import combinations
 from unittest import mock
@@ -178,7 +179,7 @@ def odd_element(n):
 def edge_lists(draw):
     """A colex-sorted valid edge list, then up to three corruptions."""
     n = draw(st.integers(2, 8))
-    k = draw(st.integers(2, min(n, 4)))
+    k = draw(st.integers(2, min(n, 6)))
     pool = list(combinations(range(1, n + 1), k))
     edges = [list(e) for e in sorted(draw(st.sets(st.sampled_from(pool), max_size=8)),
                                      key=lambda e: rank_subset(e, n))]
@@ -187,7 +188,7 @@ def edge_lists(draw):
             break
         i = draw(st.integers(0, len(edges) - 1))
         kind = draw(st.sampled_from(["element", "swap", "duplicate", "shorten", "lengthen",
-                                     "reorder"]))
+                                     "reorder", "tie"]))
         e = edges[i]
         if kind == "element" and e:
             e[draw(st.integers(0, len(e) - 1))] = draw(odd_element(n))
@@ -202,6 +203,10 @@ def edge_lists(draw):
             e.append(draw(odd_element(n)))
         elif kind == "reorder":
             edges.insert(draw(st.integers(0, len(edges))), edges.pop(i))
+        elif kind == "tie" and i and e:
+            # the previous edge's top columns, so that the colex check meets ties
+            top = draw(st.integers(1, len(e)))
+            e[-top:] = edges[i - 1][-top:]
     return n, k, tuple(tuple(e) for e in edges)
 
 
@@ -459,7 +464,7 @@ class TestDecompositionOracle:
             self.assert_matches_oracle(h, j)
 
 
-ALL_KJ = [(k, j) for k in (2, 3, 4) for j in range(1, k)]
+ALL_KJ = [(k, j) for k in (2, 3, 4, 5, 6) for j in range(1, k)]
 
 
 class TestSortedKeys:
@@ -509,6 +514,22 @@ class TestSortedKeys:
         assert jset_lookup(h, 2)((1, 2)) == [(1, 2, 3), (1, 2, n)]
         assert jset_lookup(h, 2)((2, n)) == [(1, 2, n)]
         assert jset_lookup(h, 2)((3, n)) == []
+
+
+class TestDecompositionMemory:
+    @pytest.mark.parametrize("n, k, j", [(1000, 3, 2), (200, 4, 3)])
+    def test_peak_stays_within_five_key_arrays(self, n, k, j):
+        # the ranks, rows and run starts of the sorted j-subsets, with no
+        # gathered copy of the edges and no filtered j-set map columns
+        h = sample(n, k, TheoryParams(n, k, j, 0.3).p, trial_seed(5, 0))
+        keys, _ = hypergraph._sorted_keys(h, j)
+        tracemalloc.start()
+        try:
+            hypergraph._decompose(h, j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * keys.nbytes
 
 
 class TestJsetLookup:
