@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .combinatorics import TheoryParams, check_domain
+from .combinatorics import TheoryParams
 from .enumeration import predicted_L1, predicted_M1
 from .errors import ResourceLimitError, ValidationError
 from .hypergraph import _decompose, sample
@@ -50,9 +50,7 @@ class ExperimentConfig:
     cap: int = DEFAULT_EDGE_BUDGET
 
     def __post_init__(self) -> None:
-        check_domain(self.n, self.k, self.j)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        self.params()
         for name in ("trials", "m", "cap"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")

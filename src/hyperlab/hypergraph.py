@@ -15,13 +15,15 @@ One helper ranks every j-subset of every edge from the edge columns
 the subset's row into one key, rank * count + row, and sorts the keys by
 value; being unique, they fall in the stable order of the ranks.  Equal
 neighbouring ranks link two edges through a shared j-set, and `_decompose`
-finds the components of that edge graph by hook-and-shortcut, returning
-the sorted subsets unfiltered: only `j_components` picks its j-set map out
-of them.  `jset_lookup` bisects the sorted keys to map a j-set to its edges.
+finds the components of that edge graph by hook-and-shortcut, reading a
+key's edge only at the links, and returns the sorted keys with their run
+starts.  `jset_lookup` bisects sorted keys to map a j-set to its edges.
 Over that map one traversal, `walk`, serves the component search, coupling
 and the one witness routine, `find_wheel`, a depth-first walk from any edge
-or j-set of a component.  `j_components` builds one map, over the edges of
-its non-hypertree components, and walks it from each one's first edge.
+or j-set of a component.  `j_components` sorts once: its j-set map comes
+from the run starts of `_decompose`'s keys, and its one lookup from the
+subsequence of those keys whose rows lie in non-hypertree components,
+walked from each such component's first edge.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -161,7 +163,10 @@ _BLOCK = 1 << 16
 MAX_TABLE_CELLS = 1 << 22
 # Largest j-subset template of one k-set, C(k, j) subsets of j cells; the
 # C(k, j) ranks per edge of a hypergraph are bounded by the edge budget.
-MAX_TEMPLATE_CELLS = 1 << 24
+# The template is built as Python objects, about 600 B per subset (at j = 1,
+# C(k, 1) = 2^18 subsets peak at 190 MiB RSS), so the cap keeps it near
+# 70 MiB; the largest template in use is 60 cells, at (k, j) = (6, 3).
+MAX_TEMPLATE_CELLS = 1 << 16
 
 
 def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -185,8 +190,7 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
         except ValueError:  # longer than sys.get_int_max_str_digits()
             cells = "n * k"
         raise ResourceLimitError(
-            f"sampling at n={n}, k={k} needs colex tables of {cells} entries, "
-            f"more than {MAX_TABLE_CELLS}"
+            f"sampling needs colex tables of {cells} entries, more than {MAX_TABLE_CELLS}"
         )
     total = math.comb(n, k)
     dtype = colex_dtype(n, k)
@@ -275,8 +279,8 @@ def _first_false(flags: np.ndarray) -> int:
 
 def _check_subsets(n: int, k: int, j: int) -> None:
     check_domain(n, k, j)
-    # C(k, j) >= 2^min(j, k-j), so from 24 on the cap is passed without C(k, j)
-    if min(j, k - j) >= 24 or math.comb(k, j) * j > MAX_TEMPLATE_CELLS:
+    # C(k, j) >= 2^min(j, k-j), so from 16 on the cap is passed without C(k, j)
+    if min(j, k - j) >= 16 or math.comb(k, j) * j > MAX_TEMPLATE_CELLS:
         raise ResourceLimitError(
             f"the j-subsets of one k-set at (k, j) = ({k}, {j}) exceed {MAX_TEMPLATE_CELLS} cells"
         )
@@ -311,12 +315,18 @@ def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]
     [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge.
     """
     keys, count = _sorted_keys(h, j)
-    keys, fan = keys.tolist(), math.comb(h.k, j)
+    return _edges_of(h.array, keys, count, math.comb(h.k, j))
+
+
+def _edges_of(array: np.ndarray, keys: np.ndarray, count: int, fan: int) -> Callable:
+    # `edges_of` over sorted keys rank * count + row of `array`'s j-subsets,
+    # fan rows per edge, or over any sorted subsequence holding a j-set's run
+    keys = keys.tolist()
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
         low = count * sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
         lo = bisect_left(keys, low)
-        return [tuple(h.array[key % count // fan].tolist())
+        return [tuple(array[key % count // fan].tolist())
                 for key in keys[lo:bisect_left(keys, low + count, lo)]]
 
     return edges_of
@@ -356,44 +366,48 @@ def j_components(
     Isolated j-sets (order 1, size 0) are not materialized; their count is
     C(n, j) minus the map's length.
     """
-    sizes, orders, flags, edge_cid, (ranks, order, new) = _decompose(h, j)
-    # one lookup over the rows of the non-hypertree components: a walk from
-    # a component's first row never leaves that component
-    cyclic = ~flags[edge_cid]
-    cids, firsts = np.unique(edge_cid[cyclic], return_index=True)
-    sub = Hypergraph(h.n, h.k, h.array[cyclic])
-    edges_of = jset_lookup(sub, j)
+    sizes, orders, flags, edge_cid, (keys, new) = _decompose(h, j)
+    count, fan = len(keys), math.comb(h.k, j)
+    rows = (keys % count).astype(np.intp, copy=False)
+    # one lookup over the keys of the non-hypertree components' rows, which
+    # hold every j-set of those components: a walk from a component's first
+    # edge never leaves that component
+    edges_of = _edges_of(h.array, keys[~flags[edge_cid[rows // fan]]], count, fan)
+    cids = np.flatnonzero(~flags)
+    firsts = np.unique(edge_cid, return_index=True)[1][cids]
     witnesses = [None] * len(sizes)
-    for cid, edge in zip(cids.tolist(), sub.array[firsts].tolist()):
+    for cid, edge in zip(cids.tolist(), h.array[firsts].tolist()):
         witnesses[cid] = find_wheel(edges_of, j, tuple(edge))
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
-    # each distinct j-set's rank and first row, at the start of its run
-    keys, first = ranks[new], order[new]
+    # each distinct j-set's key and first row, at the start of its run
+    first = rows[new]
     touch = np.argsort(first)
-    jset_cid = edge_cid[first[touch] // math.comb(h.k, j)]
-    return summaries, dict(zip(keys[touch].tolist(), jset_cid.tolist()))
+    jset_cid = edge_cid[first[touch] // fan]
+    return summaries, dict(zip((keys[new][touch] // count).tolist(), jset_cid.tolist()))
 
 
 def _decompose(h: Hypergraph, j: int) -> tuple:
     # The j-components as columns: per component, in id order, its size,
     # order and hypertree flag; per edge, its component id; and the sorted
-    # j-subsets, unfiltered: per subset in rank order its rank, its row and
-    # whether it starts a run of equal ranks (a new j-set).  Equal
-    # neighbours in the sorted ranks are one j-set in two edges, a link, so
-    # a j-set in t edges gives t - 1 links, a size-s component has order
-    # C(k,j)*s minus its links, and it is a hypertree (order 1 + c0*s) iff
-    # its links number s - 1.
-    ranks, count = _sorted_keys(h, j)
-    order = (ranks % count).astype(np.intp, copy=False)
-    ranks //= count
+    # keys rank * count + row of every j-subset with, per key, whether it
+    # starts a run of equal ranks (a new j-set).  Equal neighbouring ranks
+    # are one j-set in two edges, a link, so a j-set in t edges gives t - 1
+    # links, a size-s component has order C(k,j)*s minus its links, and it
+    # is a hypertree (order 1 + c0*s) iff its links number s - 1.  A key's
+    # edge, key % count // C(k,j), is read only at the links.
+    keys, count = _sorted_keys(h, j)
     fan = math.comb(h.k, j)
-    # where each distinct rank starts, with no count-long difference array
+    # where each distinct rank starts; the ranks are freed before the links
+    # are gathered, so that the two never share the peak
+    ranks = keys // count
     new = np.empty(count, bool)
     new[:1] = True
     np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    del ranks
     link = ~new[1:]
-    u, v = order[:-1][link], order[1:][link]
+    u = (keys[:-1][link] % count).astype(np.intp, copy=False)
+    v = (keys[1:][link] % count).astype(np.intp, copy=False)
     u //= fan
     v //= fan
     # each root is its component's first edge; ids number the roots in edge order
@@ -402,7 +416,7 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     edge_cid = (np.cumsum(is_root) - 1)[root]
     sizes = np.bincount(edge_cid, minlength=is_root.sum())
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
-    return sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid, (ranks, order, new)
+    return sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid, (keys, new)
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:

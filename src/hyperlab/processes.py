@@ -32,11 +32,14 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import TheoryParams, rank_subset, unrank_subset
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .hypergraph import Hypergraph, _check_subsets, jset_lookup, walk
 from .rng import make_generator
 
 DEFAULT_CAP = 1_000_000
+# Largest C(n-j, k-j), the uniforms one popped type-j vertex draws (32 MiB
+# of doubles); the workloads and tests draw at most C(59, 2) = 1,711.
+MAX_DRAWS = 1 << 22
 
 
 @dataclass
@@ -131,6 +134,10 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
     # the k-labels that join the tree, still in colex order.
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
+    # C(n-j, k-j) >= 2^min(k-j, n-k), so from 22 on the cap is passed without it
+    if min(k - j, n - k) >= 22 or math.comb(n - j, k - j) > MAX_DRAWS:
+        raise ResourceLimitError(
+            f"each popped j-set would draw C(n-j, k-j) uniforms, more than {MAX_DRAWS}")
     rng = make_generator(seed)
     n_candidates = math.comb(n - j, k - j)
     tree = TwoTypeTree(n=n, k=k, j=j)

@@ -326,6 +326,8 @@ REFUSALS = {
         (["components", "--in", "{header}", "--j", "2"], f"{10**2200} 3 0", 3),
     "components_subset_template_past_cap": (["components", "--in", "{header}", "--j", "1000"],
                                          "3000 2000 0", 3),
+    "components_subset_template_of_2_24_cells": (["components", "--in", "{header}", "--j", "1"],
+                                               "16777216 16777216 0", 3),
     "gen_budget_huge_n_k": (["gen", "--n", HUGE, "--k", BIG, "--p", "0.5", "--out", "{out}"],
                             None, 3),
     "gen_epsilon_huge_n_k": (["gen", "--n", HUGE, "--k", BIG, "--j", "1", "--epsilon", "0.3",

@@ -88,6 +88,8 @@ class TestSampling:
             sample(MAX_TABLE_CELLS // 2 + 1, 2, 1e-15, 0)
         with pytest.raises(ResourceLimitError, match=r"tables of n \* k entries"):
             sample(10**2200, 10**2200, 1e-15, 0)  # n * k is past the digit limit
+        with pytest.raises(ResourceLimitError, match=r"tables of n \* k entries"):
+            sample(10**5000, 3, 0.5, 0)  # so is n itself
 
 
 class TestHypergraphType:
@@ -518,9 +520,9 @@ class TestSortedKeys:
 
 class TestDecompositionMemory:
     @pytest.mark.parametrize("n, k, j", [(1000, 3, 2), (200, 4, 3)])
-    def test_peak_stays_within_five_key_arrays(self, n, k, j):
-        # the ranks, rows and run starts of the sorted j-subsets, with no
-        # gathered copy of the edges and no filtered j-set map columns
+    def test_peak_stays_within_three_and_a_half_key_arrays(self, n, k, j):
+        # the sorted keys and their run starts, with no gathered copy of the
+        # edges, no row column and no filtered j-set map columns
         h = sample(n, k, TheoryParams(n, k, j, 0.3).p, trial_seed(5, 0))
         keys, _ = hypergraph._sorted_keys(h, j)
         tracemalloc.start()
@@ -529,7 +531,7 @@ class TestDecompositionMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * keys.nbytes
+        assert peak <= 3.5 * keys.nbytes
 
 
 class TestJsetLookup:
@@ -700,12 +702,16 @@ class TestFindWheel:
         assert self.raw(comps[0].wheel_witness) == self.raw(alone)
 
     def test_j_components_builds_at_most_one_lookup(self):
+        # and sorts the j-subsets once: the witnesses read the decomposition's keys
         two_wheels = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (5, 6, 7), (5, 6, 8), (5, 7, 8)]
         for edges in (two_wheels, [(1, 2, 3), (2, 3, 4)]):
             h = Hypergraph.from_edges(9, 3, edges)
-            with mock.patch.object(hypergraph, "jset_lookup", wraps=hypergraph.jset_lookup) as spy:
+            lookups = mock.patch.object(hypergraph, "jset_lookup", wraps=hypergraph.jset_lookup)
+            sorts = mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys)
+            with lookups as lookup_spy, sorts as sort_spy:
                 comps, _ = j_components(h, 2)
-            assert spy.call_count <= 1
+            assert lookup_spy.call_count <= 1
+            assert sort_spy.call_count == 1
             assert all(c.is_hypertree == (c.wheel_witness is None) for c in comps)
 
 

@@ -165,6 +165,16 @@ class TestFanOutRefusal:
         with pytest.raises(ResourceLimitError):
             coupled_run(self.H, TheoryParams(60, 60, 30, 0.3), self.START, 0)
 
+    def test_draws_per_pop(self):
+        # C(10**5 - 1, 2) uniforms per popped j-set, about 37 GiB of doubles;
+        # C(10**15 - 1, 2**16 - 1) is refused without being computed
+        with pytest.raises(ResourceLimitError, match="uniforms"):
+            branching_with_rate(10**5, 3, 1, 0.0, (1,), 0)
+        with pytest.raises(ResourceLimitError, match="uniforms"):
+            coupled_run(Hypergraph(10**5, 3, ()), TheoryParams(10**5, 3, 1, 0.3), (1,), 0)
+        with pytest.raises(ResourceLimitError, match="uniforms"):
+            branching_with_rate(10**15, 2**16, 1, 0.0, (1,), 0)
+
 
 class TestCoupling:
     def test_empty_hypergraph(self):
