@@ -25,11 +25,20 @@ import numpy as np
 from .errors import ValidationError
 
 
+def show_int(x) -> str:
+    """str(x) for a message, or the bit length of an int whose decimal form
+    would pass `sys.get_int_max_str_digits()`, where str(x) raises."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
 def check_domain(n: int, k: int, j: int | None = None) -> None:
     """Refuse (n, k, j) outside n >= k >= 2 and 1 <= j <= k-1; with j None,
     only (n, k) is checked.  Every entry point that takes them calls this."""
     if not (2 <= k <= n and (j is None or 1 <= j <= k - 1)):
-        got = f"n={n}, k={k}" if j is None else f"n={n}, k={k}, j={j}"
+        got = f"n={show_int(n)}, k={show_int(k)}" + ("" if j is None else f", j={show_int(j)}")
         raise ValidationError(f"need n >= k >= 2 and 1 <= j <= k-1, got {got}")
 
 

@@ -6,6 +6,10 @@ in the unique series T with T(0) = 0 solving
 
     T = exp(z * (1 + T)^c0) - 1,       c0 = C(k, j) - 1.
 
+`tj_series_fixed_point` solves this equation online, one coefficient of
+U = 1 + T and of V = U^c0 per order, in O(s^2) exact products; it shares
+nothing with the closed form, so the two check each other.
+
 Closed form:  F_s = sum_{r=1..s} c0^(s-r) s^(s-r-1) / ((r-1)! (s-r)!),
 and the labelled count is B_s = C(n, j) * C(n-j, k-j)^s * F_s.  Both are
 exact rationals.  Note B_s weights sibling-label collisions by symmetry
@@ -31,7 +35,8 @@ from .errors import ResourceLimitError, ValidationError
 
 # Largest s of the B_s bounds; their log-space sum over s terms takes 0.1 s there.
 MAX_BOUND_S = 100_000
-# Largest s of `laplace_sum_check`, whose float arrays take about 40 bytes per term.
+# Largest s of `laplace_sum_check`, whose two float arrays peak at 16 bytes per term
+# under tracemalloc, 16 MB at this s.
 MAX_LAPLACE_S = 1_000_000
 # Largest size, in decimal digits, of the exact arithmetic in `wheel_constant`.
 MAX_WHEEL_CONSTANT_DIGITS = 100_000
@@ -144,18 +149,27 @@ def lambert_power_coefficients(r: int, i_max: int) -> RationalSeries:
 def tj_series_fixed_point(c0: int, s_max: int) -> RationalSeries:
     """The unique series T, T(0) = 0, with T = exp(z*(1+T)^c0) - 1.
 
-    Fixed-point iteration gains one order of accuracy per round, so
-    s_max + 1 rounds pin all coefficients up to z^s_max.
+    Solved one coefficient at a time for U = 1 + T and V = U^c0, from
+    U_0 = V_0 = 1: U = exp(z*V) gives
+
+        m U_m = sum_{i=1..m} i V_{i-1} U_{m-i},
+
+    and the power rule U V' = c0 U' V gives
+
+        m V_m = sum_{i=1..m} (c0 i - (m-i)) U_i V_{m-i},
+
+    so each order costs two length-m convolutions, O(s_max^2) in all.
     """
     if s_max < 1:
         raise ValidationError(f"s_max must be >= 1, got {s_max}")
     if c0 < 1:
         raise ValidationError(f"c0 must be >= 1, got {c0}")
-    z = RationalSeries.z(s_max)
-    t = RationalSeries.zero(s_max)
-    for _ in range(s_max + 1):
-        t = (z * t.shift_const(1).pow(c0)).exp().shift_const(-1)
-    return t
+    u, v = [Fraction(1)], [Fraction(1)]
+    for m in range(1, s_max + 1):
+        u.append(sum(i * v[i - 1] * u[m - i] for i in range(1, m + 1)) / m)
+        v.append(sum((c0 * i - (m - i)) * u[i] * v[m - i] for i in range(1, m + 1)) / m)
+    u[0] = Fraction(0)
+    return RationalSeries(u, s_max)
 
 
 def f_s(c0: int, s: int) -> Fraction:
@@ -346,9 +360,17 @@ def laplace_sum_check(a: int, s: int) -> LaplaceCheck:
         raise ValidationError(f"need s >= (16a)^2 = {(16 * a) ** 2}, got {s}")
     if s > MAX_LAPLACE_S:
         raise ResourceLimitError(f"the Laplace sum takes s <= {MAX_LAPLACE_S}, got s={s}")
+    # every step in place, so the peak is these two float arrays
     i = np.arange(1, s + 1, dtype=np.float64)
-    log_ratio = np.cumsum(np.log1p(-(i - 1) / s))  # log of falling(s, i)/s^i
-    lhs = float(np.exp(a * np.log(i) + log_ratio).sum())
+    log_ratio = i - 1
+    log_ratio /= s
+    np.negative(log_ratio, out=log_ratio)
+    np.log1p(log_ratio, out=log_ratio)
+    np.cumsum(log_ratio, out=log_ratio)  # log of falling(s, i)/s^i
+    terms = np.log(i, out=i)
+    terms *= a
+    terms += log_ratio
+    lhs = float(np.exp(terms, out=terms).sum())
     rhs = 5.0 * (2 * a) ** (a / 2) * s ** ((a + 1) / 2)
     return LaplaceCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 

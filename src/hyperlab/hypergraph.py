@@ -42,7 +42,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .combinatorics import check_domain, colex_dtype, rank_array, rank_subset, unrank_array
+from .combinatorics import (check_domain, colex_dtype, rank_array, rank_subset, show_int,
+                            unrank_array)
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -282,7 +283,8 @@ def _check_subsets(n: int, k: int, j: int) -> None:
     # C(k, j) >= 2^min(j, k-j), so from 16 on the cap is passed without C(k, j)
     if min(j, k - j) >= 16 or math.comb(k, j) * j > MAX_TEMPLATE_CELLS:
         raise ResourceLimitError(
-            f"the j-subsets of one k-set at (k, j) = ({k}, {j}) exceed {MAX_TEMPLATE_CELLS} cells"
+            f"the j-subsets of one k-set at (k, j) = ({show_int(k)}, {show_int(j)}) exceed "
+            f"{MAX_TEMPLATE_CELLS} cells"
         )
 
 

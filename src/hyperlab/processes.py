@@ -146,11 +146,16 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
     while queue:
         u_idx = queue.popleft()
         jlabel = tree.labels[u_idx]
-        pool = [v for v in range(1, n + 1) if v not in jlabel]
         hits = []
         for i in np.flatnonzero(rng.random(n_candidates) < p).tolist():
-            added = tuple(pool[pm - 1] for pm in unrank_subset(i, k - j, len(pool)))  # colex rank i
-            hits.append(tuple(sorted(jlabel + added)))
+            # colex rank i among the n - j vertices outside jlabel: the v-th
+            # of them is v stepped past each label vertex at or below it
+            added = []
+            for v in unrank_subset(i, k - j, n - j):
+                for a in jlabel:
+                    v += a <= v
+                added.append(v)
+            hits.append(tuple(sorted(jlabel + tuple(added))))
         for klabel in spawn(jlabel, hits):
             if tree.size >= cap:
                 tree.truncated = True

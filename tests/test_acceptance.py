@@ -48,6 +48,14 @@ def test_c01_enumeration_oracle_equivalence():
     _report(1, "tree-count closed form equals series fixed point", t0, 10)
 
 
+def test_series_oracle_to_order_100():
+    # the online series solve is cheap enough to check c0 = 1..6 to s = 100
+    for c0 in range(1, 7):
+        series = tj_series_fixed_point(c0, 100)
+        for s in range(1, 101):
+            assert f_s(c0, s) == series.coefficient(s)
+
+
 def test_c02_tree_count_bracket_exact():
     t0 = time.perf_counter()
     from fractions import Fraction

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperlab.combinatorics import (
     TheoryParams,
+    check_domain,
     colex_dtype,
     rank_array,
     rank_subset,
@@ -16,7 +17,7 @@ from hyperlab.combinatorics import (
     unrank_subset,
 )
 from hyperlab.enumeration import brute_force_Bs, wheel_bound_exact
-from hyperlab.errors import ValidationError
+from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.experiments import ExperimentConfig
 from hyperlab.hypergraph import (
     Hypergraph,
@@ -206,3 +207,14 @@ def test_every_domain_entry_point_refuses_with_one_message(name, n, k, j):
     message = re.escape(f"need n >= k >= 2 and 1 <= j <= k-1, got n={n}, k={k}")
     with pytest.raises(ValidationError, match=f"^{message}(, j={j})?$"):
         DOMAIN_ENTRY_POINTS[name][0](n, k, j)
+
+
+def test_refusals_word_integers_past_the_str_limit():
+    # 10**5000 has more decimal digits than str() converts by default
+    huge = 10**5000
+    with pytest.raises(ValidationError):
+        check_domain(huge, 10 * huge)
+    with pytest.raises(ResourceLimitError):
+        j_components(Hypergraph(huge, huge, ()), 1)
+    with pytest.raises(ResourceLimitError):
+        branching_with_rate(huge, huge, 1, 0.0, (1,), 0)

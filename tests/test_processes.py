@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -128,6 +129,18 @@ class TestBranching:
         mean = total_k / total_j
         sigma = math.sqrt(target * (1 - params.p) / total_j)
         assert abs(mean - target) <= 5 * sigma
+
+    def test_pop_memory_is_the_draws(self):
+        # one pop at n = 4,000,000 draws n - 1 doubles (30.5 MiB); mapping its
+        # hits to vertices must not list the n - 1 vertices outside the root
+        params = TheoryParams(4_000_000, 2, 1, 0.3)
+        tracemalloc.start()
+        try:
+            branching_with_rate(params.n, params.k, params.j, params.p, (1,), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_cap_truncates_with_flag(self):
         # p = 1 makes the process explode immediately
