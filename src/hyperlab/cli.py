@@ -9,6 +9,7 @@ flags and seeds; the only wall-clock line is the summary footer, which
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -38,7 +39,7 @@ from .experiments import (
     parse_config_file,
     run_experiment,
 )
-from .hypergraph import j_components, read_hypergraph, sample, write_hypergraph
+from .hypergraph import _decompose, _witnesses, read_hypergraph, sample, write_hypergraph
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -78,6 +79,7 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"{path} is not ASCII text: {exc}") from exc
 
 
+@functools.cache  # parsing leaves no state on the parser: one tree serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hyperlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -146,20 +148,19 @@ def _cmd_components(args) -> int:
     limit = sys.get_int_max_str_digits()
     if limit and args.j * (math.log10(h.n) - math.log10(args.j)) > limit + 1:
         raise ResourceLimitError(f"the isolated j-set count would print over {limit} digits")
-    comps, jset_map = j_components(h, args.j)
-    isolated = _str(math.comb(h.n, args.j) - len(jset_map))
-    print("id size order hypertree")
-    for c in comps:
-        print(f"{c.id} {c.size} {c.order} {'yes' if c.is_hypertree else 'no'}")
-    print(f"isolated_jsets {isolated}")
+    sizes, orders, flags, firsts, edge_cid, (keys, _) = _decompose(h, args.j)
+    lines = ["id size order hypertree\n"]
+    lines += [f"{cid} {size} {order} {'yes' if flag else 'no'}\n" for cid, (size, order, flag)
+              in enumerate(zip(sizes.tolist(), orders.tolist(), flags.tolist()))]
+    # every touched j-set lies in exactly one component's order
+    lines.append(f"isolated_jsets {_str(math.comb(h.n, args.j) - int(orders.sum()))}\n")
     if args.wheels:
-        for c in comps:
-            if c.wheel_witness is None:
-                continue
-            w = c.wheel_witness
-            ks = "|".join(",".join(str(v) for v in e) for e in w.edges)
-            js = "|".join(",".join(str(v) for v in s) for s in w.jsets)
-            print(f"wheel {c.id} length={w.length} K={ks} J={js}")
+        for cid, w in enumerate(_witnesses(h, args.j, flags, firsts, edge_cid, keys)):
+            if w is not None:
+                ks = "|".join(",".join(map(str, e)) for e in w.edges)
+                js = "|".join(",".join(map(str, s)) for s in w.jsets)
+                lines.append(f"wheel {cid} length={w.length} K={ks} J={js}\n")
+    sys.stdout.write("".join(lines))
     return EXIT_OK
 
 

@@ -101,7 +101,7 @@ class ExperimentSummary:
 
 def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
     h = sample(params.n, params.k, params.p, seed)
-    sizes, orders, flags, _, _ = _decompose(h, params.j)
+    sizes, orders, flags, *_ = _decompose(h, params.j)
     # a stable sort on negated sizes ranks by size, ties keeping the smaller id first
     top = np.argsort(-sizes, kind="stable")[:m]
     pad = m - len(top)  # ranks past the last component read 0, 0, None

@@ -19,11 +19,12 @@ finds the components of that edge graph by hook-and-shortcut, reading a
 key's edge only at the links, and returns the sorted keys with their run
 starts.  `jset_lookup` bisects sorted keys to map a j-set to its edges.
 Over that map one traversal, `walk`, serves the component search, coupling
-and the one witness routine, `find_wheel`, a depth-first walk from any edge
-or j-set of a component.  `j_components` sorts once: its j-set map comes
-from the run starts of `_decompose`'s keys, and its one lookup from the
-subsequence of those keys whose rows lie in non-hypertree components,
-walked from each such component's first edge.
+and the wheel search, `find_wheel`, a depth-first walk from any edge or
+j-set of a component.  The one witness routine, `_witnesses`, walks from
+each non-hypertree component's first edge over one lookup of the keys whose
+rows lie in such components.  `j_components` adds its summaries and a j-set
+map from the keys' run starts on top; `components` prints from the columns,
+counting the isolated j-sets as C(n, j) minus the sum of the orders.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -366,38 +367,40 @@ def j_components(
     colex edge order, and a map from the colex rank of every j-set touched
     by an edge to its component id, in order of first touch along the edges.
     Isolated j-sets (order 1, size 0) are not materialized; their count is
-    C(n, j) minus the map's length.
+    C(n, j) minus the sum of the orders (the map's length).  The witnesses
+    come from `_witnesses`, which `components` shares to print from columns.
     """
-    sizes, orders, flags, edge_cid, (keys, new) = _decompose(h, j)
-    count, fan = len(keys), math.comb(h.k, j)
-    rows = (keys % count).astype(np.intp, copy=False)
-    # one lookup over the keys of the non-hypertree components' rows, which
-    # hold every j-set of those components: a walk from a component's first
-    # edge never leaves that component
-    edges_of = _edges_of(h.array, keys[~flags[edge_cid[rows // fan]]], count, fan)
-    cids = np.flatnonzero(~flags)
-    firsts = np.unique(edge_cid, return_index=True)[1][cids]
-    witnesses = [None] * len(sizes)
-    for cid, edge in zip(cids.tolist(), h.array[firsts].tolist()):
-        witnesses[cid] = find_wheel(edges_of, j, tuple(edge))
+    sizes, orders, flags, firsts, edge_cid, (keys, new) = _decompose(h, j)
+    witnesses = _witnesses(h, j, flags, firsts, edge_cid, keys)
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
-    # each distinct j-set's key and first row, at the start of its run
-    first = rows[new]
+    # each distinct j-set's key, at the start of its run, and its first row
+    starts = keys[new]
+    first = (starts % len(keys)).astype(np.intp, copy=False)
     touch = np.argsort(first)
-    jset_cid = edge_cid[first[touch] // fan]
-    return summaries, dict(zip((keys[new][touch] // count).tolist(), jset_cid.tolist()))
+    jset_cid = edge_cid[first[touch] // math.comb(h.k, j)]
+    return summaries, dict(zip((starts[touch] // len(keys)).tolist(), jset_cid.tolist()))
+
+
+def _witnesses(h: Hypergraph, j: int, flags, firsts, edge_cid, keys) -> list[Optional[Wheel]]:
+    # Per component, a wheel walked from its first edge, or None for a hypertree,
+    # over one lookup of the keys whose rows lie in non-hypertree components
+    count, fan = len(keys), math.comb(h.k, j)
+    edge = (keys % count).astype(np.intp, copy=False) // fan
+    edges_of = _edges_of(h.array, keys[~flags[edge_cid[edge]]], count, fan)
+    starts = iter(map(tuple, h.array[firsts[~flags]].tolist()))
+    return [None if flag else find_wheel(edges_of, j, next(starts)) for flag in flags.tolist()]
 
 
 def _decompose(h: Hypergraph, j: int) -> tuple:
     # The j-components as columns: per component, in id order, its size,
-    # order and hypertree flag; per edge, its component id; and the sorted
-    # keys rank * count + row of every j-subset with, per key, whether it
-    # starts a run of equal ranks (a new j-set).  Equal neighbouring ranks
-    # are one j-set in two edges, a link, so a j-set in t edges gives t - 1
-    # links, a size-s component has order C(k,j)*s minus its links, and it
-    # is a hypertree (order 1 + c0*s) iff its links number s - 1.  A key's
-    # edge, key % count // C(k,j), is read only at the links.
+    # order, hypertree flag and first edge; per edge, its component id; and
+    # the sorted keys rank * count + row of every j-subset with, per key,
+    # whether it starts a run of equal ranks (a new j-set).  Equal
+    # neighbouring ranks are one j-set in two edges, a link, so a j-set in t
+    # edges gives t - 1 links, a size-s component has order C(k,j)*s minus
+    # its links, and it is a hypertree (order 1 + c0*s) iff its links number
+    # s - 1.  A key's edge, key % count // C(k,j), is read only at the links.
     keys, count = _sorted_keys(h, j)
     fan = math.comb(h.k, j)
     # where each distinct rank starts; the ranks are freed before the links
@@ -416,9 +419,10 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     root = _least_connected(u, v, len(h.array))
     is_root = root == np.arange(len(root))
     edge_cid = (np.cumsum(is_root) - 1)[root]
-    sizes = np.bincount(edge_cid, minlength=is_root.sum())
+    firsts = np.flatnonzero(is_root)
+    sizes = np.bincount(edge_cid, minlength=len(firsts))
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
-    return sizes, orders, orders == 1 + (fan - 1) * sizes, edge_cid, (keys, new)
+    return sizes, orders, orders == 1 + (fan - 1) * sizes, firsts, edge_cid, (keys, new)
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:

@@ -1,18 +1,21 @@
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import resource
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperlab import experiments
+from hyperlab import cli, experiments, hypergraph
 from hyperlab.cli import main
-from hyperlab.hypergraph import read_hypergraph
+from hyperlab.hypergraph import j_components, read_hypergraph, sample, write_hypergraph
+from hyperlab.rng import trial_seed
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +97,57 @@ class TestComponents:
         assert "0 3 6 no" in out.splitlines()
         wheel_lines = [ln for ln in out.splitlines() if ln.startswith("wheel 0 ")]
         assert len(wheel_lines) == 1 and "length=3" in wheel_lines[0]
+
+    @staticmethod
+    def rendered(h, j, wheels):
+        """The table, isolated count and wheel lines as rendered from the
+        `j_components` summaries and j-set map."""
+        comps, jmap = j_components(h, j)
+        lines = ["id size order hypertree"]
+        lines += [f"{c.id} {c.size} {c.order} {'yes' if c.is_hypertree else 'no'}" for c in comps]
+        lines.append(f"isolated_jsets {math.comb(h.n, j) - len(jmap)}")
+        for c in comps if wheels else ():
+            if (w := c.wheel_witness) is not None:
+                ks = "|".join(",".join(map(str, e)) for e in w.edges)
+                js = "|".join(",".join(map(str, s)) for s in w.jsets)
+                lines.append(f"wheel {c.id} length={w.length} K={ks} J={js}")
+        return "".join(line + "\n" for line in lines)
+
+    def test_output_equals_the_j_components_rendering(self, capsys, tmp_path):
+        # c05's (k, j) pairs, below, near and past the threshold
+        witnesses = 0
+        for idx, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]):
+            n = 24
+            p0 = 1 / ((math.comb(k, j) - 1) * math.comb(n - j, k - j))
+            for mult in (0.5, 1.5, 3.0):
+                for seed in range(3):
+                    h = sample(n, k, min(1.0, mult * p0), trial_seed(1600 + idx, seed))
+                    path = self.write(tmp_path, write_hypergraph(h))
+                    for wheels in (False, True):
+                        flag = ["--wheels"] if wheels else []
+                        code, out, _ = run_cli(capsys, "components", "--in", path, "--j", str(j),
+                                               *flag)
+                        assert code == 0
+                        assert out == self.rendered(h, j, wheels)
+                        witnesses += wheels and "\nwheel " in out
+        assert witnesses > 0
+
+    def test_prints_from_the_columns(self, capsys, tmp_path):
+        # never calls j_components, builds no j-set dict and sorts the j-subsets once
+        h = sample(24, 3, 3 / (2 * math.comb(22, 1)), trial_seed(1605, 0))
+        path = self.write(tmp_path, write_hypergraph(h))
+        sorts = mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys)
+        dicts = mock.patch.object(hypergraph, "dict", create=True, wraps=dict)
+        whole = [mock.patch.object(module, "j_components", create=True, side_effect=AssertionError)
+                 for module in (hypergraph, cli)]
+        with sorts as sort_spy, dicts as dict_spy, whole[0], whole[1]:
+            code, out, _ = run_cli(capsys, "components", "--in", path, "--j", "2", "--wheels")
+        assert code == 0 and "\nwheel " in out
+        assert sort_spy.call_count == 1
+        assert dict_spy.call_count == 0
+        with mock.patch.object(hypergraph, "dict", create=True, wraps=dict) as dict_spy:
+            j_components(h, 2)
+        assert dict_spy.call_count == 1  # the spy sees the j-set map where one is built
 
     def test_malformed_file_exits_one(self, capsys, tmp_path):
         path = self.write(tmp_path, "5 3 2\n1 2 3\n")
@@ -525,6 +579,26 @@ class TestExperiment:
         code, _, err = run_cli(capsys, "experiment", "--n", "400", "--k", "3", "--j", "2",
                                "--epsilon", "0.3", "--trials", "1", "--cap", "10")
         assert code == 3 and "resource guard" in err
+
+
+def test_successive_calls_share_no_state(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()  # one parser per process
+    path = tmp_path / "h.txt"
+    path.write_text("4 3 3\n1 2 3\n1 2 4\n1 3 4\n")
+    _, wheels, _ = run_cli(capsys, "components", "--in", str(path), "--j", "2", "--wheels")
+    _, plain, _ = run_cli(capsys, "components", "--in", str(path), "--j", "2")
+    assert "\nwheel 0 " in wheels
+    assert plain == wheels[:wheels.index("wheel 0 ")]
+    # a config-file run after a run with flags reads only the file's values
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 40\nk = 3\nj = 2\nepsilon = 0.3\ntrials = 5\nbase_seed = 1\n")
+    runs = [("--config", str(cfg)), TestExperiment.ARGS[1:], ("--config", str(cfg))]
+    csvs = []
+    for i, args in enumerate(runs):
+        csvs.append(tmp_path / f"{i}.csv")
+        assert run_cli(capsys, "experiment", *args, "--csv", str(csvs[-1]))[0] == 0
+    first, flags, again = (c.read_bytes() for c in csvs)
+    assert again == first != flags
 
 
 def test_module_entrypoint_smoke(tmp_path):
