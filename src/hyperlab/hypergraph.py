@@ -17,7 +17,11 @@ value; being unique, they fall in the stable order of the ranks.  Equal
 neighbouring ranks link two edges through a shared j-set, and `_decompose`
 finds the components of that edge graph by hook-and-shortcut, reading a
 key's edge only at the links, and returns the sorted keys with their run
-starts.  `jset_lookup` bisects sorted keys to map a j-set to its edges.
+starts; it keeps none of them, since its callers drop the hypergraph right
+after.  `jset_lookup` maps a j-set to its edges by bisecting the sorted keys
+in place (object keys, past int64, as a list).  It sorts them once per
+(hypergraph, j) and keeps them on the hypergraph, 8 bytes per j-subset, so
+that repeated searches and couplings on one hypergraph sort once.
 Over that map one traversal, `walk`, serves the component search, coupling
 and the wheel search, `find_wheel`, a depth-first walk from any edge or
 j-set of a component.  The one witness routine, `_witnesses`, walks from
@@ -56,11 +60,15 @@ class Hypergraph:
     (an unsigned one is read as Python ints).  Either way the hypergraph
     keeps only one validated, read-only (m, k) array, `array` (int64, or
     object when a vertex passes the int64 range); `edges` builds the same
-    edges as tuples on each access.
+    edges as tuples on each access.  `jset_lookup` keeps the sorted j-subset
+    keys of each j it is asked for on the hypergraph; equality and `repr`
+    ignore them, and a pickle carries them.
     """
 
     def __init__(self, n: int, k: int, edges) -> None:
         self.n, self.k = n, k
+        # j -> `_sorted_keys(self, j)`, filled by `jset_lookup`
+        self._jset_keys: dict[int, tuple[np.ndarray, int]] = {}
         if isinstance(edges, np.ndarray) and edges.dtype.kind == "u":
             edges = edges.tolist()  # Python ints: uint64 past int64 takes the object path
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
@@ -313,18 +321,24 @@ def _sorted_keys(h: Hypergraph, j: int) -> tuple[np.ndarray, int]:
 def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]]]:
     """Return a function from a j-set (a sorted tuple) to the edges of `h`
     containing it, as tuples in colex order.  It ranks the j-set exactly and
-    bisects one Python list, the sorted keys rank * count + row of every
-    edge's j-subsets (count rows, C(k,j) per edge), for the run
+    bisects the sorted keys rank * count + row of every edge's j-subsets
+    (count rows, C(k,j) per edge) in place, for the run
     [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge.
+    The keys are sorted once per (h, j) and kept on `h`, 8 bytes per
+    j-subset (object keys, past int64, are bisected as a list).
     """
-    keys, count = _sorted_keys(h, j)
+    if j not in h._jset_keys:
+        h._jset_keys[j] = _sorted_keys(h, j)
+    keys, count = h._jset_keys[j]
     return _edges_of(h.array, keys, count, math.comb(h.k, j))
 
 
 def _edges_of(array: np.ndarray, keys: np.ndarray, count: int, fan: int) -> Callable:
     # `edges_of` over sorted keys rank * count + row of `array`'s j-subsets,
-    # fan rows per edge, or over any sorted subsequence holding a j-set's run
-    keys = keys.tolist()
+    # fan rows per edge, or over any sorted subsequence holding a j-set's run.
+    # An int64 array is bisected through a memoryview, whose items are Python
+    # ints; an object array exports no such buffer.
+    keys = keys.tolist() if keys.dtype == object else memoryview(keys)
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
         low = count * sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
@@ -527,23 +541,33 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    # Blank and whitespace-only lines are skipped: the header is the first
+    # other line, and np.loadtxt skips them among the edges.
+    lines = text.splitlines()
+    top = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if top is None:
         raise ValidationError("empty hypergraph file")
-    head = lines[0].split()
+    head = lines[top].split()
     if len(head) != 3:
-        raise ValidationError(f"header must be 'n k m', got {lines[0]!r}")
+        raise ValidationError(f"header must be 'n k m', got {lines[top]!r}")
     try:
         n, k, m = (int(x) for x in head)
     except ValueError as exc:
-        raise ValidationError(f"non-integer header field in {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise ValidationError(f"header declares {m} edges but file has {len(lines) - 1}")
-    try:  # one conversion for the whole file; it accepts fewer spellings than int()
-        edges = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2) if m else ()
-    except ValueError:  # line by line: word the first error, or keep ids past int64
+        raise ValidationError(f"non-integer header field in {lines[top]!r}") from exc
+    body = lines[top + 1:]
+    edges = None
+    if any(map(str.strip, body)):  # else loadtxt warns that it found no data
+        try:  # one conversion for the whole file; it accepts fewer spellings than int()
+            edges = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if edges is None or len(edges) != m:
+        # line by line: count the edges, word the first error, or keep ids past int64
+        body = [ln for ln in body if ln.strip()]
+        if len(body) != m:
+            raise ValidationError(f"header declares {m} edges but file has {len(body)}")
         edges = []
-        for ln in lines[1:]:
+        for ln in body:
             try:
                 edges.append(tuple(int(x) for x in ln.split()))
             except ValueError as exc:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from collections import deque
 from itertools import combinations
@@ -270,7 +271,11 @@ TOKENS = ["1", "2", "3", "4", "5", "6", "007", "+3", "-1", "0", "1_0", "\u0663",
 def edge_files(draw):
     lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), max_size=5))
     sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
-    return f"9 3 {len(lines)}\n" + "".join(sep.join(line) + "\n" for line in lines)
+    rows = [f"9 3 {len(lines)}"] + [sep.join(line) for line in lines]
+    # blank and whitespace-only lines anywhere, before the header too
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " ", "\t", "\xa0"])))
+    return "".join(row + "\n" for row in rows)
 
 
 class TestOneRepresentation:
@@ -295,7 +300,8 @@ class TestOneRepresentation:
         edges = ((1, 2, 3), (1, 2, 4))
         given = np.array(edges, dtype=np.int64)
         for h in (Hypergraph(5, 3, edges), Hypergraph(5, 3, given)):
-            assert vars(h).keys() == {"n", "k", "array"}
+            assert vars(h).keys() == {"n", "k", "array", "_jset_keys"}
+            assert h._jset_keys == {}
             assert h.edges == edges
         assert given.flags.writeable
 
@@ -305,6 +311,17 @@ class TestOneRepresentation:
         with mock.patch.object(np, "loadtxt", side_effect=ValueError):
             expected = read_outcome(text)
         assert read_outcome(text) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, outcome", [
+        ("\n \n5 3 2\n\n1 2 3\n \t\n1 2 4\n\n", ((1, 2, 3), (1, 2, 4))),
+        ("5 3 2\n \n\t\n", "header declares 2 edges but file has 0"),
+        ("5 3 0\n\n1 2 3\n", "header declares 0 edges but file has 1"),
+        ("5 3 1\n\n1 2 3\n1 2 x\n", "header declares 1 edges but file has 2"),
+    ])
+    def test_blank_lines_are_skipped(self, text, outcome):
+        got = read_outcome(text)
+        assert (got if isinstance(got, str) else got[1]) == outcome
 
 
 class TestJComponents:
@@ -556,6 +573,43 @@ class TestJsetLookup:
         touched = {s for e in h.edges for s in combinations(e, 2)}
         untouched = [(1, n - 1), (4, n), (n - 2, n - 1)]
         self.assert_matches_scan(h, 2, sorted(touched) + untouched)
+
+    def test_sorts_once_per_j(self):
+        h = sample(30, 3, 0.02, 8)
+        with mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys) as sorts:
+            self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
+            self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
+            assert sorts.call_count == 1
+            # a second j sorts its own keys, and the first j's stay as they were
+            self.assert_matches_scan(h, 1, combinations(range(1, 31), 1))
+            self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
+            assert sorts.call_count == 2
+        assert h._jset_keys.keys() == {1, 2}
+
+    def test_decomposition_stores_no_keys(self):
+        h = sample(30, 3, 0.02, 8)
+        j_components(h, 2)
+        assert h._jset_keys == {}
+
+    def test_stored_keys_leave_equality_repr_and_pickle(self):
+        h = sample(30, 3, 0.02, 8)
+        jset_lookup(h, 2)
+        fresh = Hypergraph(h.n, h.k, h.array)
+        assert h == fresh and repr(h) == repr(fresh)
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and repr(back) == repr(h)
+        self.assert_matches_scan(back, 2, combinations(range(1, 31), 2))
+
+    @pytest.mark.parametrize("n", [30, 2**64, 2**31 - 1])  # int64 keys, object vertices, object keys
+    def test_vertices_are_python_ints(self, n):
+        # (1,2,3), (1,2,n) and (1,3,n) close a wheel through (1,2), (1,n) and (1,3)
+        h = Hypergraph(n, 3, [(1, 2, 3), (1, 2, n), (1, 3, n)])
+        edges_of = jset_lookup(h, 2)
+        found = [f for e in h.edges for s in combinations(e, 2) for f in edges_of(s)]
+        (comp,), _ = j_components(h, 2)
+        witness = comp.wheel_witness.edges + comp.wheel_witness.jsets
+        assert len(found) == 15 and len(witness) == 6
+        assert all(type(v) is int for e in found + list(witness) for v in e)
 
 
 class TestWalk:

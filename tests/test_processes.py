@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 
-from hyperlab import processes
-from hyperlab.combinatorics import TheoryParams
+from hyperlab import hypergraph, processes
+from hyperlab.combinatorics import TheoryParams, rank_subset
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import Hypergraph, j_components, sample
 from hyperlab.processes import (
@@ -230,3 +231,30 @@ class TestCoupling:
         h = Hypergraph.from_edges(29, 3, [])
         with pytest.raises(ValidationError):
             coupled_run(h, params, (1, 2), 0)
+
+    def test_one_sort_across_starts(self):
+        # c04's (1000, 3, 2) sample: every start after the first reuses the keys
+        params = TheoryParams(1000, 3, 2, 0.3)
+        h = sample(params.n, params.k, params.p, trial_seed(700, 0))
+        comps, jmap = j_components(h, 2)
+        edges = h.edges
+        starts = [e[:2] for e in edges[::len(edges) // 25]] + [(999, 1000)]
+        with mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys) as sorts:
+            for i, start in enumerate(starts):
+                comp, branch = coupled_run(h, params, start, trial_seed(800, i))
+                cid = jmap.get(rank_subset(start, params.n))
+                assert comp == (0 if cid is None else comps[cid].size) <= branch
+            trace = search_component(h, 2, starts[0])
+        assert trace.size == comps[jmap[rank_subset(starts[0], params.n)]].size
+        assert len(starts) == 27 and sorts.call_count == 1
+
+    def test_stored_keys_leave_results_unchanged(self):
+        params = TheoryParams(40, 3, 2, 0.3)
+        h = sample(params.n, params.k, params.p, trial_seed(41, 0))
+        starts = [e[:2] for e in h.edges[:4]] + [(39, 40)]
+        assert len(starts) == 5
+        for i, start in enumerate(starts):
+            fresh = Hypergraph(h.n, h.k, h.array)
+            assert coupled_run(h, params, start, i) == coupled_run(fresh, params, start, i)
+            assert format_trace(search_component(h, 2, start)) == format_trace(
+                search_component(Hypergraph(h.n, h.k, h.array), 2, start))
