@@ -17,6 +17,7 @@ j-subset of every edge, one column of the array at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -140,20 +141,30 @@ def rank_array(rows: np.ndarray, n: int, subsets) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _colex_table(n: int, i: int, dtype: type) -> np.ndarray:
+    # the read-only table of C(x, i) over x in [0, n), in dtype
+    table = _comb_array(np.arange(n).astype(dtype), i)
+    table.flags.writeable = False
+    return table
+
+
 def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     """Inverse of whole-row `rank_array`: the (len(ranks), size) int64 array
     whose row r is the subset of [1, n] at colex rank ranks[r].
 
     Position i (from the top) holds 1 + the largest x with C(x, i) <= rem,
     found by `searchsorted` in the table of C(x, i) over x in [0, n), so
-    the tables cost O(n * size) and every rank O(size * log n).  The last
-    position needs no table: C(x, 1) = x, so it holds rem + 1.
+    every rank costs O(size * log n).  Each table costs O(n) once: the
+    last 16 built are kept, read-only, so repeated calls at one (n, size)
+    build none.  The last position needs no table: C(x, 1) = x, so it
+    holds rem + 1.
     """
-    xs = np.arange(n).astype(colex_dtype(n, size))
+    dtype = colex_dtype(n, size)
     out = np.empty((len(ranks), size), dtype=np.int64)
     rem = ranks
     for i in range(size, 1, -1):
-        table = _comb_array(xs, i)
+        table = _colex_table(n, i, dtype)
         a = np.searchsorted(table, rem, side="right") - 1
         out[:, i - 1] = a + 1
         rem = rem - table[a]

@@ -31,7 +31,9 @@ from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_EDGE_BUDGET = 5_000_000
 # Largest trial count and top-m rank count: a run holds trials * m ranks in
-# memory, and MAX_TRIALS (250, 3, 2) trials take about 8 minutes at 5 ms each.
+# memory, and MAX_TRIALS (250, 3, 2) trials take about 2 minutes on one
+# worker, at the 1.1-1.3 ms per trial of `run_experiment` measured on two
+# shared cores (Python 3.11, numpy 2.4).
 MAX_TRIALS = 100_000
 MAX_M = 100
 # informational cutoff for "large" asymptotic proxies reported in summaries
@@ -102,8 +104,7 @@ class ExperimentSummary:
 def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
     h = sample(params.n, params.k, params.p, seed)
     sizes, orders, flags, *_ = _decompose(h, params.j)
-    # a stable sort on negated sizes ranks by size, ties keeping the smaller id first
-    top = np.argsort(-sizes, kind="stable")[:m]
+    top = _top_ids(sizes, m)
     pad = m - len(top)  # ranks past the last component read 0, 0, None
     nonhyp = sizes[~flags]
     return TrialRecord(
@@ -116,6 +117,16 @@ def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
         nonhypertree_count=len(nonhyp),
         largest_nonhypertree=int(nonhyp.max(initial=0)),
     )
+
+
+def _top_ids(sizes: np.ndarray, m: int) -> np.ndarray:
+    # The ids of the m largest of non-negative sizes, largest first, ties
+    # keeping the smaller id first: `np.argsort(-sizes, kind="stable")[:m]`,
+    # but sorting only the sizes at least the m-th largest, found by a partition
+    kth = len(sizes) - m
+    cut = np.partition(sizes, kth)[kth] if kth > 0 else 0
+    cand = np.flatnonzero(sizes >= cut)
+    return cand[np.argsort(-sizes[cand], kind="stable")[:m]]
 
 
 def check_edge_budget(n: int, k: int, p: float, cap: int = DEFAULT_EDGE_BUDGET) -> None:

@@ -305,15 +305,14 @@ def _sorted_keys(h: Hypergraph, j: int) -> tuple[np.ndarray, int]:
     # key % count the row it sat in.  int64 while every key fits, else object.
     _check_subsets(h.n, h.k, j)
     keys = rank_array(h.array, h.n, list(combinations(range(h.k), j)))
-    count, fan = keys.size, keys.shape[1]
+    count = keys.size
     if keys.dtype != object and math.comb(h.n, j) * count >= 2**63:
         keys = keys.astype(object)
-    # in place, the rows broadcast from an m-long and a C(k,j)-long range:
-    # one more array of keys would raise the peak
-    keys *= count
-    keys += np.arange(0, count, fan, dtype=keys.dtype)[:, None]
-    keys += np.arange(fan, dtype=keys.dtype)
+    # in place on the flat view, where row e*C(k,j) + i is the flat index;
+    # the count-long range of rows stays below `_decompose`'s later peak
     keys = keys.reshape(-1)
+    keys *= count
+    keys += np.arange(count, dtype=keys.dtype)
     keys.sort()
     return keys, count
 
@@ -424,11 +423,12 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     new[:1] = True
     np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
     del ranks
-    link = ~new[1:]
-    u = (keys[:-1][link] % count).astype(np.intp, copy=False)
-    v = (keys[1:][link] % count).astype(np.intp, copy=False)
-    u //= fan
-    v //= fan
+    # a link joins the edges of a key that starts no run and of the key before it
+    at = np.flatnonzero(~new)
+    v = (keys[at] % count).astype(np.intp, copy=False) // fan
+    at -= 1
+    u = (keys[at] % count).astype(np.intp, copy=False) // fan
+    del at
     # each root is its component's first edge; ids number the roots in edge order
     root = _least_connected(u, v, len(h.array))
     is_root = root == np.arange(len(root))
@@ -448,12 +448,12 @@ def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     parent = np.arange(count)
     while True:
         pu, pv = parent[u], parent[v]
-        if np.array_equal(pu, pv):
+        if (pu == pv).all():
             return parent
         np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
         while True:
             grand = parent[parent]
-            if np.array_equal(grand, parent):
+            if (grand == parent).all():
                 break
             parent = grand
 

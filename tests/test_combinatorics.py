@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperlab import combinatorics
 from hyperlab.combinatorics import (
     TheoryParams,
     check_domain,
@@ -116,6 +117,53 @@ def test_unrank_array_object_ranks_roundtrip():
 def test_unrank_array_sizes_zero_and_one():
     assert unrank_array(np.array([0, 0]), 0, 5).shape == (2, 0)
     assert unrank_array(np.array([0, 4, 2]), 1, 5).tolist() == [[1], [5], [3]]
+
+
+class TestColexTables:
+    """`unrank_array` builds each table of C(x, i) once and keeps a bounded
+    number of them, read-only."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        combinatorics._colex_table.cache_clear()
+        yield
+        combinatorics._colex_table.cache_clear()
+
+    def test_one_build_per_n_and_position(self, monkeypatch):
+        built = []
+        comb_array = combinatorics._comb_array
+
+        def spy(x, r):
+            built.append((len(x), r))
+            return comb_array(x, r)
+
+        monkeypatch.setattr(combinatorics, "_comb_array", spy)
+        for _ in range(5):
+            for n, size in ((250, 3), (40, 4), (250, 3), (40, 2)):
+                rows = unrank_array(np.arange(7), size, n)
+                assert rows.tolist() == [unrank_subset(r, size, n) for r in range(7)]
+        assert sorted(built) == [(40, 2), (40, 3), (40, 4), (250, 2), (250, 3)]
+
+    def test_tables_are_read_only(self):
+        unrank_array(np.arange(10), 4, 30)
+        table = combinatorics._colex_table(30, 3, np.int64)
+        assert combinatorics._colex_table.cache_info().hits == 1
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert table.tolist() == [math.comb(x, 3) for x in range(30)]
+
+    def test_bounded_and_still_exact_after_many_n(self):
+        for n in range(10, 110):
+            unrank_array(np.array([0, math.comb(n, 3) - 1]), 3, n)
+        info = combinatorics._colex_table.cache_info()
+        assert info.currsize <= info.maxsize
+        for n in range(0, 10):
+            for size in range(0, min(n, 6) + 1):
+                total = math.comb(n, size)
+                rows = unrank_array(np.arange(total), size, n)
+                assert rows.shape == (total, size)
+                assert rows.tolist() == [unrank_subset(r, size, n) for r in range(total)]
 
 
 def test_colex_dtype_switches_to_python_ints():

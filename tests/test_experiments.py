@@ -1,7 +1,10 @@
 import math
 from operator import attrgetter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import experiments
 from hyperlab.combinatorics import TheoryParams, colex_dtype
@@ -17,7 +20,7 @@ from hyperlab.experiments import (
     run_experiment,
     run_trial,
 )
-from hyperlab.hypergraph import Hypergraph, j_components, sample
+from hyperlab.hypergraph import Hypergraph, _decompose, j_components, sample
 from hyperlab.rng import trial_seed
 
 TINY = ExperimentConfig(n=40, k=3, j=2, epsilon=0.3, trials=10, m=2, base_seed=77)
@@ -156,6 +159,48 @@ class TestColumnarTrial:
             assert colex_dtype(n, 2) is object
         for m in (1, 2, 5):
             assert run_trial(params, 7, m) == record_from_summaries(h, 2, 7, m)
+
+
+class TestTopIds:
+    """`run_trial` keeps the m largest components by a partition; the ids
+    must equal a full stable argsort's, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_a_stable_argsort(self, data):
+        # few distinct values: heavy ties, all-equal sizes and no sizes at all
+        values = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+        sizes = np.array(data.draw(st.lists(st.sampled_from(values), max_size=60)), dtype=np.int64)
+        m = data.draw(st.integers(1, len(sizes) + 2))
+        expected = np.argsort(-sizes, kind="stable")[:m]
+        assert experiments._top_ids(sizes, m).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("sizes", [[], [4] * 9, [1, 3, 3, 1, 3, 2, 3]])
+    def test_every_m_on_tie_heavy_sizes(self, sizes):
+        sizes = np.array(sizes, dtype=np.int64)
+        for m in range(1, len(sizes) + 3):
+            expected = np.argsort(-sizes, kind="stable")[:m]
+            assert experiments._top_ids(sizes, m).tolist() == expected.tolist()
+
+    def test_seeded_trial_equals_the_argsort_record(self):
+        # most components are single edges, tied at size 1, and this seed
+        # ties a hypertree with a non-hypertree among its largest: taking
+        # tied ids larger first would change the record at every m from 2
+        params = TheoryParams(60, 3, 2, 0.1)
+        seed = trial_seed(18, 3)
+        sizes, orders, flags, *_ = _decompose(sample(60, 3, params.p, seed), 2)
+        assert np.count_nonzero(sizes == 1) > 50
+        last = len(sizes) - 1
+        for m in (1, 2, 3, 10, 100):
+            pad = m - min(m, len(sizes))
+            records = [(tuple(sizes[top].tolist()) + (0,) * pad,
+                        tuple(orders[top].tolist()) + (0,) * pad,
+                        tuple(flags[top].tolist()) + (None,) * pad)
+                       for top in (np.argsort(-sizes, kind="stable")[:m],
+                                   last - np.argsort(-sizes[::-1], kind="stable")[:m])]
+            record = run_trial(params, seed, m)
+            assert (record.sizes, record.orders, record.hypertree) == records[0]
+            assert (records[0] != records[1]) == (m > 1)
 
 
 class TestCsv:

@@ -511,6 +511,20 @@ class TestSortedKeys:
     def test_empty_hypergraph(self, k, j):
         self.assert_matches_stable_argsort(Hypergraph(k + 2, k, ()), j)
 
+    @pytest.mark.parametrize("n, dtype", [(40, np.int64), (10**10, object)])
+    @pytest.mark.parametrize("k, j", [(3, 2), (4, 2), (4, 3), (5, 3)])
+    def test_keys_pack_each_rank_with_its_flat_row(self, n, dtype, k, j):
+        # row e*C(k,j) + i is edge e's i-th j-subset in `combinations` order
+        edges = [tuple(range(1, k + 1)), tuple(range(2, k + 2)),
+                 tuple(range(1, k)) + (n - 1,), (1,) + tuple(range(n - k + 2, n + 1))]
+        h = Hypergraph.from_edges(n, k, edges)
+        keys, count = hypergraph._sorted_keys(h, j)
+        fan = math.comb(k, j)
+        assert count == fan * len(edges) and keys.dtype == dtype
+        assert keys.tolist() == sorted(
+            rank_subset(sub, n) * count + e * fan + i
+            for e, edge in enumerate(h.edges) for i, sub in enumerate(combinations(edge, j)))
+
     def test_object_dtype_ranks(self):
         n = 10**10
         assert colex_dtype(n, 2) is object
