@@ -17,7 +17,6 @@ from .enumeration import (
     expected_Cs_lower_reference,
     expected_Rs_upper,
     f_s,
-    lambert_power_coefficients,
     laplace_sum_check,
     predicted_L1,
     predicted_M1,

@@ -43,7 +43,8 @@ MAX_WHEEL_CONSTANT_DIGITS = 100_000
 
 
 class RationalSeries:
-    """Truncated formal power series with exact Fraction coefficients."""
+    """Truncated power series with exact Fraction coefficients, the result
+    of `tj_series_fixed_point`."""
 
     __slots__ = ("coeffs", "order")
 
@@ -55,18 +56,6 @@ class RationalSeries:
         self.coeffs: list[Fraction] = cs
         self.order = order
 
-    @classmethod
-    def zero(cls, order: int) -> "RationalSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "RationalSeries":
-        return cls([1], order)
-
-    @classmethod
-    def z(cls, order: int) -> "RationalSeries":
-        return cls([0, 1], order)
-
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i <= self.order else Fraction(0)
 
@@ -74,76 +63,6 @@ class RationalSeries:
         if not isinstance(other, RationalSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        order = min(self.order, other.order)
-        return RationalSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for jj in range(order + 1 - i):
-                b = other.coeffs[jj]
-                if b:
-                    out[i + jj] += a * b
-        return RationalSeries(out, order)
-
-    def shift_const(self, c) -> "RationalSeries":
-        out = list(self.coeffs)
-        out[0] += Fraction(c)
-        return RationalSeries(out, self.order)
-
-    def scale(self, c) -> "RationalSeries":
-        c = Fraction(c)
-        return RationalSeries([a * c for a in self.coeffs], self.order)
-
-    def scale_arg(self, c) -> "RationalSeries":
-        """Substitute z -> c*z."""
-        c = Fraction(c)
-        return RationalSeries(
-            [a * c**i for i, a in enumerate(self.coeffs)], self.order
-        )
-
-    def pow(self, e: int) -> "RationalSeries":
-        if e < 0:
-            raise ValidationError(f"series power must be >= 0, got {e}")
-        out = RationalSeries.one(self.order)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def exp(self) -> "RationalSeries":
-        """exp of a series with zero constant term, via b' = a' * b."""
-        if self.coeffs[0] != 0:
-            raise ValidationError("exp requires a zero constant term")
-        a = self.coeffs
-        b = [Fraction(0)] * (self.order + 1)
-        b[0] = Fraction(1)
-        for m in range(1, self.order + 1):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if a[i]:
-                    acc += i * a[i] * b[m - i]
-            b[m] = acc / m
-        return RationalSeries(b, self.order)
-
-
-def lambert_power_coefficients(r: int, i_max: int) -> RationalSeries:
-    """Coefficients of W(z)^r for the branch of w*exp(w) = z with W(0) = 0.
-
-    [z^i] W^r = -r * (-i)^(i-r-1) / (i-r)!  for i >= r, and 0 below.
-    """
-    if r < 1:
-        raise ValidationError(f"power r must be >= 1, got {r}")
-    coeffs = [Fraction(0)] * (i_max + 1)
-    for i in range(r, i_max + 1):
-        coeffs[i] = Fraction(-r) * Fraction(-i) ** (i - r - 1) / math.factorial(i - r)
-    return RationalSeries(coeffs, i_max)
 
 
 def tj_series_fixed_point(c0: int, s_max: int) -> RationalSeries:
@@ -306,9 +225,11 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
 def wheel_constant(k: int, j: int) -> Fraction:
     """c_w = (k-j)^j / (j!(k-j)!) * prod_{m=1..j-1} (1 - (C(k-m,j-m)-1)/c0)^(-1).
 
-    Refused (ResourceLimitError) when j! (k-j)! c0^(j-1), the size of the
-    exact arithmetic, has more than MAX_WHEEL_CONSTANT_DIGITS digits.
+    Refused (ValidationError) outside 2 <= k and 1 <= j <= k-1, and
+    (ResourceLimitError) when j! (k-j)! c0^(j-1), the size of the exact
+    arithmetic, has more than MAX_WHEEL_CONSTANT_DIGITS digits.
     """
+    check_domain(k, k, j)
     log_c0 = math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
     digits = ((j - 1) * log_c0 + math.lgamma(j + 1) + math.lgamma(k - j + 1)) / math.log(10)
     if digits > MAX_WHEEL_CONSTANT_DIGITS:

@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -105,13 +105,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, k={self.k}, edges={self.edges!r})"
-
-    @classmethod
-    def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        """Build from edges in any order; sorts canonically and rejects duplicates."""
-        canon = [tuple(sorted(e)) for e in edges]
-        canon.sort(key=lambda e: rank_subset(e, n))
-        return cls(n, k, tuple(canon))
 
 
 @dataclass(frozen=True)
@@ -195,12 +188,8 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     if p == 0.0:
         return Hypergraph(n, k, ())
     if n * k > MAX_TABLE_CELLS:
-        try:
-            cells = str(n * k)
-        except ValueError:  # longer than sys.get_int_max_str_digits()
-            cells = "n * k"
         raise ResourceLimitError(
-            f"sampling needs colex tables of {cells} entries, more than {MAX_TABLE_CELLS}"
+            f"sampling needs colex tables of {show_int(n * k)} entries, more than {MAX_TABLE_CELLS}"
         )
     total = math.comb(n, k)
     dtype = colex_dtype(n, k)

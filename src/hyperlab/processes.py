@@ -92,9 +92,6 @@ class TwoTypeTree:
             self.children[parent].append(idx)
         return idx
 
-    def count_type_j(self) -> int:
-        return len(self.types) - self.size
-
 
 def _validate_jset(start, n: int, j: int) -> tuple[int, ...]:
     s = tuple(start)

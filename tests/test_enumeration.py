@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from hyperlab.combinatorics import TheoryParams
 from hyperlab.enumeration import (
     MAX_BOUND_S,
-    RationalSeries,
     _log_b_s,
     b_s,
     brute_force_Bs,
@@ -17,7 +17,6 @@ from hyperlab.enumeration import (
     expected_Cs_lower_reference,
     expected_Rs_upper,
     f_s,
-    lambert_power_coefficients,
     laplace_sum_check,
     log_wheel_bound,
     predicted_L1,
@@ -31,18 +30,32 @@ from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import brute_force_wheel_census
 
 
-class TestRationalSeries:
-    def test_mul_truncates(self):
-        a = RationalSeries([0, 1, 1], 4)
-        assert (a * a).coeffs == [Fraction(x) for x in (0, 0, 1, 2, 1)]
+def _mul(a, b):
+    """Product of two series truncated to the length of `a`."""
+    return [sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0)) for m in range(len(a))]
 
-    def test_exp_requires_zero_constant(self):
-        with pytest.raises(ValidationError):
-            RationalSeries([1, 1], 3).exp()
+
+def _exp(a):
+    """exp of a series with zero constant term, by m b_m = sum_i i a_i b_(m-i)."""
+    b = [Fraction(1)]
+    for m in range(1, len(a)):
+        b.append(sum(i * a[i] * b[m - i] for i in range(1, m + 1)) / m)
+    return b
+
+
+def _lambert(r, order):
+    """[z^i] W^r = -r (-i)^(i-r-1) / (i-r)! for i >= r, W the series with W e^W = z."""
+    return [-r * Fraction(-i) ** (i - r - 1) / math.factorial(i - r) if i >= r else Fraction(0)
+            for i in range(order + 1)]
+
+
+class TestSeriesAlgebra:
+    def test_mul_truncates(self):
+        a = [0, 1, 1, 0, 0]
+        assert _mul(a, a) == [0, 0, 1, 2, 1]
 
     def test_exp_of_z(self):
-        e = RationalSeries.z(5).exp()
-        assert e.coeffs == [Fraction(1, math.factorial(i)) for i in range(6)]
+        assert _exp([0, 1, 0, 0, 0, 0]) == [Fraction(1, math.factorial(i)) for i in range(6)]
 
     @given(
         a=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5),
@@ -50,37 +63,33 @@ class TestRationalSeries:
     )
     @settings(max_examples=60, deadline=None)
     def test_exp_homomorphism(self, a, b):
-        order = 6
-        sa = RationalSeries([0] + a, order)
-        sb = RationalSeries([0] + b, order)
-        assert (sa + sb).exp() == sa.exp() * sb.exp()
+        sa, sb = (([0] + x + [0] * 6)[:7] for x in (a, b))
+        assert _exp([x + y for x, y in zip(sa, sb)]) == _mul(_exp(sa), _exp(sb))
 
 
 class TestLambert:
     def test_first_power_series(self):
-        w = lambert_power_coefficients(1, 3)
-        assert w.coeffs == [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2)]
+        assert _lambert(1, 3) == [0, 1, -1, Fraction(3, 2)]
 
     def test_square_at_two(self):
-        assert lambert_power_coefficients(2, 4).coefficient(2) == 1
+        assert _lambert(2, 4)[2] == 1
 
     def test_zero_below_r(self):
-        w3 = lambert_power_coefficients(3, 6)
-        assert all(w3.coefficient(i) == 0 for i in range(3))
+        assert all(c == 0 for c in _lambert(3, 6)[:3])
 
     def test_powers_match_products(self):
         order = 12
-        w = lambert_power_coefficients(1, order)
+        w = _lambert(1, order)
         acc = w
         for r in range(2, 5):
-            acc = acc * w
-            assert acc.coeffs == lambert_power_coefficients(r, order).coeffs
+            acc = _mul(acc, w)
+            assert acc == _lambert(r, order)
 
     def test_functional_inverse_identity(self):
         # W(z) * exp(W(z)) == z, exactly, up to the truncation order
         order = 14
-        w = lambert_power_coefficients(1, order)
-        assert (w * w.exp()).coeffs == RationalSeries.z(order).coeffs
+        w = _lambert(1, order)
+        assert _mul(w, _exp(w)) == [0, 1] + [0] * (order - 1)
 
 
 class TestTjSeries:
@@ -103,16 +112,18 @@ class TestTjSeries:
         for c0 in (1, 2, 3, 4, 5, 6):
             order = 10
             t = tj_series_fixed_point(c0, order)
-            rhs = (RationalSeries.z(order) * t.shift_const(1).pow(c0)).exp().shift_const(-1)
-            assert t == rhs
+            v = reduce(_mul, [[t.coeffs[0] + 1] + t.coeffs[1:]] * c0)  # (1+T)^c0
+            rhs = _exp([0] + v[:-1])
+            rhs[0] -= 1
+            assert t.coeffs == rhs
 
     def test_lambert_substitution_route(self):
         # exp(-W(-c0 z)/c0) - 1 reproduces the fixed point series
         for c0 in (1, 2, 3):
             order = 10
-            w = lambert_power_coefficients(1, order)
-            inner = w.scale_arg(-c0).scale(Fraction(-1, c0))
-            assert inner.exp().shift_const(-1) == tj_series_fixed_point(c0, order)
+            series = _exp([w * (-c0) ** i / -c0 for i, w in enumerate(_lambert(1, order))])
+            series[0] -= 1
+            assert series == tj_series_fixed_point(c0, order).coeffs
 
 
 class TestTreeCounts:
@@ -207,6 +218,11 @@ class TestWheelBound:
 
     def test_constant_k4_j2(self):
         assert wheel_constant(4, 2) == Fraction(5, 3)
+
+    @pytest.mark.parametrize("k, j", [(3, 0), (1, 1), (3, 3), (2, 5)])
+    def test_constant_refuses_out_of_domain(self, k, j):
+        with pytest.raises(ValidationError, match="1 <= j <= k-1"):
+            wheel_constant(k, j)
 
     def test_bound_value(self):
         cw, bound = wheel_bound_exact(8, 3, 2, 3)

@@ -19,17 +19,17 @@ from hyperlab.rng import trial_seed
 
 class TestSearch:
     def test_isolated_start(self):
-        h = Hypergraph.from_edges(5, 3, [])
+        h = Hypergraph(5, 3, [])
         tr = search_component(h, 2, (1, 2))
         assert (tr.size, tr.order) == (0, 1)
 
     def test_two_edge_component(self):
-        h = Hypergraph.from_edges(4, 3, [[1, 2, 3], [2, 3, 4]])
+        h = Hypergraph(4, 3, [[1, 2, 3], [2, 3, 4]])
         tr = search_component(h, 2, (2, 3))
         assert (tr.size, tr.order) == (2, 5)
 
     def test_fifo_pops_and_trace_format(self):
-        h = Hypergraph.from_edges(4, 3, [[1, 2, 3], [2, 3, 4]])
+        h = Hypergraph(4, 3, [[1, 2, 3], [2, 3, 4]])
         tr = search_component(h, 2, (2, 3))
         lines = format_trace(tr)
         assert lines[0] == "STEP 0 POP J 2,3"
@@ -62,7 +62,7 @@ class TestSearch:
             assert (tr.size, tr.order) == (comps[cid].size, comps[cid].order)
 
     def test_malformed_start(self):
-        h = Hypergraph.from_edges(5, 3, [])
+        h = Hypergraph(5, 3, [])
         with pytest.raises(ValidationError):
             search_component(h, 2, (1, 2, 3))
         with pytest.raises(ValidationError):
@@ -71,7 +71,7 @@ class TestSearch:
     def test_bad_start_is_refused_before_the_lookup(self, monkeypatch):
         lookups = []
         monkeypatch.setattr(processes, "jset_lookup", lambda *args: lookups.append(args))
-        h = Hypergraph.from_edges(5, 3, [[1, 2, 3], [2, 3, 4]])
+        h = Hypergraph(5, 3, [[1, 2, 3], [2, 3, 4]])
         for start in [(1, 2, 3), (2, 1), (1, 6)]:
             with pytest.raises(ValidationError):
                 search_component(h, 2, start)
@@ -87,7 +87,7 @@ class TestBranching:
         params = TheoryParams(30, 3, 2, 0.3)
         for seed in range(200):
             t = branching_with_rate(params.n, params.k, params.j, params.p, (1, 2), seed)
-            assert t.count_type_j() == 1 + params.c0 * t.size
+            assert len(t.types) - t.size == 1 + params.c0 * t.size
 
     def test_distinct_sibling_k_labels(self):
         params = TheoryParams(20, 3, 2, 0.5)
@@ -125,7 +125,7 @@ class TestBranching:
         while total_j < 100_000:
             t = branching_with_rate(params.n, params.k, params.j, params.p, (1, 2), seed)
             total_k += t.size
-            total_j += t.count_type_j()
+            total_j += len(t.types) - t.size
             seed += 1
         mean = total_k / total_j
         sigma = math.sqrt(target * (1 - params.p) / total_j)
@@ -147,7 +147,7 @@ class TestBranching:
         # p = 1 makes the process explode immediately
         t = branching_with_rate(12, 3, 2, 1.0, (1, 2), seed=0, cap=10)
         assert t.truncated and t.size == 10
-        assert t.count_type_j() == 1 + 2 * t.size
+        assert len(t.types) - t.size == 1 + 2 * t.size
 
     def test_cap_validation(self):
         for cap in (0, -1):
@@ -193,12 +193,12 @@ class TestFanOutRefusal:
 class TestCoupling:
     def test_empty_hypergraph(self):
         params = TheoryParams(30, 3, 2, 0.3)
-        h = Hypergraph.from_edges(30, 3, [])
+        h = Hypergraph(30, 3, [])
         assert coupled_run(h, params, (1, 2), 7) == (0, 0)
 
     def test_single_edge_component(self):
         params = TheoryParams(30, 3, 2, 0.3)
-        h = Hypergraph.from_edges(30, 3, [[1, 2, 3]])
+        h = Hypergraph(30, 3, [[1, 2, 3]])
         comp, branch = coupled_run(h, params, (1, 2), 7)
         assert comp == 1
         assert branch >= comp
@@ -228,7 +228,7 @@ class TestCoupling:
 
     def test_mismatched_params_rejected(self):
         params = TheoryParams(30, 3, 2, 0.3)
-        h = Hypergraph.from_edges(29, 3, [])
+        h = Hypergraph(29, 3, [])
         with pytest.raises(ValidationError):
             coupled_run(h, params, (1, 2), 0)
 
