@@ -148,14 +148,14 @@ def _cmd_components(args) -> int:
     limit = sys.get_int_max_str_digits()
     if limit and args.j * (math.log10(h.n) - math.log10(args.j)) > limit + 1:
         raise ResourceLimitError(f"the isolated j-set count would print over {limit} digits")
-    sizes, orders, flags, firsts, edge_cid, (keys, _) = _decompose(h, args.j)
+    sizes, orders, flags, firsts, _, keys, _ = _decompose(h, args.j)
     lines = ["id size order hypertree\n"]
     lines += [f"{cid} {size} {order} {'yes' if flag else 'no'}\n" for cid, (size, order, flag)
               in enumerate(zip(sizes.tolist(), orders.tolist(), flags.tolist()))]
     # every touched j-set lies in exactly one component's order
     lines.append(f"isolated_jsets {_str(math.comb(h.n, args.j) - int(orders.sum()))}\n")
     if args.wheels:
-        for cid, w in enumerate(_witnesses(h, args.j, flags, firsts, edge_cid, keys)):
+        for cid, w in enumerate(_witnesses(h, args.j, flags, firsts, keys)):
             if w is not None:
                 ks = "|".join(",".join(map(str, e)) for e in w.edges)
                 js = "|".join(",".join(map(str, s)) for s in w.jsets)
@@ -301,15 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 def entry() -> None:

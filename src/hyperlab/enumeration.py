@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,13 +144,7 @@ class EnumReport:
     bounds_hold: bool
 
 
-def enum_report(
-    params: TheoryParams,
-    s: int,
-    exp_bracket: Optional[tuple[Fraction, Fraction]] = None,
-) -> EnumReport:
-    if exp_bracket is None:
-        exp_bracket = exp_reciprocal_bounds(params.c0, s + 2)
+def enum_report(params: TheoryParams, s: int, exp_bracket: tuple[Fraction, Fraction]) -> EnumReport:
     fs_val = f_s(params.c0, s)
     lower = Fraction(params.c0 ** (s - 1) * s ** (s - 1), math.factorial(s))
     upper = lower * exp_bracket[1]

@@ -165,15 +165,12 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_task, tasks, chunksize=chunk))
     runtime = time.perf_counter() - start
-    return records, summarize(config, params, records, runtime)
+    return records, summarize(config, records, runtime)
 
 
-def summarize(
-    config: ExperimentConfig,
-    params: TheoryParams,
-    records: list[TrialRecord],
-    runtime: float,
-) -> ExperimentSummary:
+def summarize(config: ExperimentConfig, records: list[TrialRecord],
+              runtime: float) -> ExperimentSummary:
+    params = config.params()
     loglam = math.log(params.lam) if params.lam > 0 else float("nan")
     target = loglam - 2.5 * math.log(loglam) if params.lam > math.e else float("nan")
     theory = {

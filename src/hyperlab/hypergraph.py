@@ -25,10 +25,11 @@ that repeated searches and couplings on one hypergraph sort once.
 Over that map one traversal, `walk`, serves the component search, coupling
 and the wheel search, `find_wheel`, a depth-first walk from any edge or
 j-set of a component.  The one witness routine, `_witnesses`, walks from
-each non-hypertree component's first edge over one lookup of the keys whose
-rows lie in such components.  `j_components` adds its summaries and a j-set
-map from the keys' run starts on top; `components` prints from the columns,
-counting the isolated j-sets as C(n, j) minus the sum of the orders.
+each non-hypertree component's first edge over one lookup of the
+decomposition's keys, since a j-set's run of keys never leaves its
+component.  `j_components` adds its summaries and a j-set map from the
+keys' run starts on top; `components` prints from the columns, counting
+the isolated j-sets as C(n, j) minus the sum of the orders.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -68,7 +69,7 @@ class Hypergraph:
     def __init__(self, n: int, k: int, edges) -> None:
         self.n, self.k = n, k
         # j -> `_sorted_keys(self, j)`, filled by `jset_lookup`
-        self._jset_keys: dict[int, tuple[np.ndarray, int]] = {}
+        self._jset_keys: dict[int, np.ndarray] = {}
         if isinstance(edges, np.ndarray) and edges.dtype.kind == "u":
             edges = edges.tolist()  # Python ints: uint64 past int64 takes the object path
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
@@ -286,12 +287,13 @@ def _check_subsets(n: int, k: int, j: int) -> None:
         )
 
 
-def _sorted_keys(h: Hypergraph, j: int) -> tuple[np.ndarray, int]:
-    # Every edge's j-subsets as keys rank * count + row, sorted by value, and
-    # count, the number of rows: row e*C(k,j) + i is edge e's i-th j-subset
-    # in `combinations` order.  The keys are unique, so their value order is
-    # the stable order of the ranks: key // count is the sorted rank and
-    # key % count the row it sat in.  int64 while every key fits, else object.
+def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
+    # Every edge's j-subsets as keys rank * count + row, sorted by value, where
+    # count = len(keys) is the number of rows: row e*C(k,j) + i is edge e's
+    # i-th j-subset in `combinations` order.  The keys are unique, so their
+    # value order is the stable order of the ranks: key // count is the sorted
+    # rank and key % count the row it sat in.  int64 while every key fits,
+    # else object.
     _check_subsets(h.n, h.k, j)
     keys = rank_array(h.array, h.n, list(combinations(range(h.k), j)))
     count = keys.size
@@ -303,29 +305,29 @@ def _sorted_keys(h: Hypergraph, j: int) -> tuple[np.ndarray, int]:
     keys *= count
     keys += np.arange(count, dtype=keys.dtype)
     keys.sort()
-    return keys, count
+    return keys
 
 
 def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]]]:
     """Return a function from a j-set (a sorted tuple) to the edges of `h`
     containing it, as tuples in colex order.  It ranks the j-set exactly and
     bisects the sorted keys rank * count + row of every edge's j-subsets
-    (count rows, C(k,j) per edge) in place, for the run
+    (count = len(keys) rows, C(k,j) per edge) in place, for the run
     [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge.
     The keys are sorted once per (h, j) and kept on `h`, 8 bytes per
     j-subset (object keys, past int64, are bisected as a list).
     """
     if j not in h._jset_keys:
         h._jset_keys[j] = _sorted_keys(h, j)
-    keys, count = h._jset_keys[j]
-    return _edges_of(h.array, keys, count, math.comb(h.k, j))
+    return _edges_of(h.array, h._jset_keys[j], math.comb(h.k, j))
 
 
-def _edges_of(array: np.ndarray, keys: np.ndarray, count: int, fan: int) -> Callable:
-    # `edges_of` over sorted keys rank * count + row of `array`'s j-subsets,
-    # fan rows per edge, or over any sorted subsequence holding a j-set's run.
-    # An int64 array is bisected through a memoryview, whose items are Python
-    # ints; an object array exports no such buffer.
+def _edges_of(array: np.ndarray, keys: np.ndarray, fan: int) -> Callable:
+    # `edges_of` over the sorted keys rank * count + row of `array`'s
+    # j-subsets, count = len(keys) rows and fan per edge.  An int64 array is
+    # bisected through a memoryview, whose items are Python ints; an object
+    # array exports no such buffer.
+    count = len(keys)
     keys = keys.tolist() if keys.dtype == object else memoryview(keys)
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
@@ -372,8 +374,8 @@ def j_components(
     C(n, j) minus the sum of the orders (the map's length).  The witnesses
     come from `_witnesses`, which `components` shares to print from columns.
     """
-    sizes, orders, flags, firsts, edge_cid, (keys, new) = _decompose(h, j)
-    witnesses = _witnesses(h, j, flags, firsts, edge_cid, keys)
+    sizes, orders, flags, firsts, edge_cid, keys, new = _decompose(h, j)
+    witnesses = _witnesses(h, j, flags, firsts, keys)
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
     # each distinct j-set's key, at the start of its run, and its first row
@@ -384,12 +386,10 @@ def j_components(
     return summaries, dict(zip((starts[touch] // len(keys)).tolist(), jset_cid.tolist()))
 
 
-def _witnesses(h: Hypergraph, j: int, flags, firsts, edge_cid, keys) -> list[Optional[Wheel]]:
+def _witnesses(h: Hypergraph, j: int, flags, firsts, keys) -> list[Optional[Wheel]]:
     # Per component, a wheel walked from its first edge, or None for a hypertree,
-    # over one lookup of the keys whose rows lie in non-hypertree components
-    count, fan = len(keys), math.comb(h.k, j)
-    edge = (keys % count).astype(np.intp, copy=False) // fan
-    edges_of = _edges_of(h.array, keys[~flags[edge_cid[edge]]], count, fan)
+    # over one lookup of all the keys: a j-set's run lies in one component
+    edges_of = _edges_of(h.array, keys, math.comb(h.k, j))
     starts = iter(map(tuple, h.array[firsts[~flags]].tolist()))
     return [None if flag else find_wheel(edges_of, j, next(starts)) for flag in flags.tolist()]
 
@@ -403,8 +403,8 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     # edges gives t - 1 links, a size-s component has order C(k,j)*s minus
     # its links, and it is a hypertree (order 1 + c0*s) iff its links number
     # s - 1.  A key's edge, key % count // C(k,j), is read only at the links.
-    keys, count = _sorted_keys(h, j)
-    fan = math.comb(h.k, j)
+    keys = _sorted_keys(h, j)
+    count, fan = len(keys), math.comb(h.k, j)
     # where each distinct rank starts; the ranks are freed before the links
     # are gathered, so that the two never share the peak
     ranks = keys // count
@@ -425,7 +425,7 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     firsts = np.flatnonzero(is_root)
     sizes = np.bincount(edge_cid, minlength=len(firsts))
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
-    return sizes, orders, orders == 1 + (fan - 1) * sizes, firsts, edge_cid, (keys, new)
+    return sizes, orders, orders == 1 + (fan - 1) * sizes, firsts, edge_cid, keys, new
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:

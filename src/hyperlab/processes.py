@@ -50,47 +50,38 @@ class SearchTrace:
     """Breadth-first exploration record of one j-component.
 
     `pops` logs the FIFO queue discipline: ("J" | "K", label) per pop.
-    `size` counts discovered k-sets, `order` discovered j-sets.
+    `size` counts discovered k-sets, `order` discovered j-sets; each
+    discovered set is popped once, so both count pops.
     """
 
-    start: tuple[int, ...]
     pops: list[tuple[str, tuple[int, ...]]]
     size: int
     order: int
-    discovered_jsets: frozenset[tuple[int, ...]]
-    discovered_ksets: frozenset[tuple[int, ...]]
 
 
 @dataclass
 class TwoTypeTree:
     """Rooted labelled two-type tree produced by the branching process.
 
-    Vertex 0 is the root (type "j").  Every type-k vertex has exactly c0
+    Vertex 0 is the root (type "j"), and `parents` holds each vertex's
+    parent index (None at the root).  Every type-k vertex has exactly c0
     type-j children, so a tree of size s (its count of type-k vertices) has
     1 + c0*s type-j vertices.
     """
 
-    n: int
-    k: int
-    j: int
     types: list[str] = field(default_factory=list)
     labels: list[tuple[int, ...]] = field(default_factory=list)
     parents: list[Optional[int]] = field(default_factory=list)
-    children: list[list[int]] = field(default_factory=list)
     truncated: bool = False
     size: int = field(default=0, init=False)
 
     def add(self, kind: str, label: tuple[int, ...], parent: Optional[int]) -> int:
-        idx = len(self.types)
         if kind == "k":
             self.size += 1
         self.types.append(kind)
         self.labels.append(label)
         self.parents.append(parent)
-        self.children.append([])
-        if parent is not None:
-            self.children[parent].append(idx)
-        return idx
+        return len(self.types) - 1
 
 
 def _validate_jset(start, n: int, j: int) -> tuple[int, ...]:
@@ -110,12 +101,9 @@ def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
     """
     start = _validate_jset(start, h.n, j)
     edges_of = jset_lookup(h, j)
-    parent: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-    pops = [("J" if len(u) == j else "K", u)
-            for u, v in walk(edges_of, j, start, parent) if v is None]
-    ksets = frozenset(u for u in parent if len(u) != j)
-    return SearchTrace(start=start, pops=pops, size=len(ksets), order=len(parent) - len(ksets),
-                       discovered_jsets=frozenset(parent.keys() - ksets), discovered_ksets=ksets)
+    pops = [("J" if len(u) == j else "K", u) for u, v in walk(edges_of, j, start, {}) if v is None]
+    size = sum(kind == "K" for kind, _ in pops)
+    return SearchTrace(pops=pops, size=size, order=len(pops) - size)
 
 
 def format_trace(trace: SearchTrace) -> list[str]:
@@ -140,7 +128,7 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
             f"each popped j-set would draw C(n-j, k-j) uniforms, more than {MAX_DRAWS}")
     rng = make_generator(seed)
     n_candidates = math.comb(n - j, k - j)
-    tree = TwoTypeTree(n=n, k=k, j=j)
+    tree = TwoTypeTree()
     tree.add("j", root, None)
     queue: deque[int] = deque([0])
     while queue:

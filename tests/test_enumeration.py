@@ -166,7 +166,7 @@ class TestTreeCounts:
 
     def test_enum_report_fields(self):
         params = TheoryParams(10, 3, 2, 0.3)
-        rep = enum_report(params, 3)
+        rep = enum_report(params, 3, exp_reciprocal_bounds(params.c0, 5))
         assert rep.s == 3
         assert rep.bounds_hold
         assert rep.lower <= rep.f_s <= rep.upper

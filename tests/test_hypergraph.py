@@ -492,7 +492,8 @@ ALL_KJ = [(k, j) for k in (2, 3, 4, 5, 6) for j in range(1, k)]
 class TestSortedKeys:
     @staticmethod
     def assert_matches_stable_argsort(h, j):
-        keys, count = hypergraph._sorted_keys(h, j)
+        keys = hypergraph._sorted_keys(h, j)
+        count = len(keys)
         # exact scalar ranks, in object arrays so that no rank can wrap
         ranks = np.array([rank_subset(s, h.n) for e in h.edges for s in combinations(e, j)],
                          dtype=object)
@@ -514,6 +515,19 @@ class TestSortedKeys:
     def test_empty_hypergraph(self, k, j):
         self.assert_matches_stable_argsort(Hypergraph(k + 2, k, ()), j)
 
+    @settings(max_examples=300, deadline=None)
+    @given(hypergraphs_and_j())
+    def test_each_run_of_equal_ranks_lies_in_one_component(self, case):
+        # so a wheel walk over all the keys reads only its own component's
+        h, j = case
+        keys = hypergraph._sorted_keys(h, j)
+        count, fan = len(keys), math.comb(h.k, j)
+        edge_cid = hypergraph._decompose(h, j)[4].tolist()
+        runs = {}
+        for key in keys.tolist():
+            runs.setdefault(key // count, set()).add(edge_cid[key % count // fan])
+        assert all(len(cids) == 1 for cids in runs.values())
+
     @pytest.mark.parametrize("n, dtype", [(40, np.int64), (10**10, object)])
     @pytest.mark.parametrize("k, j", [(3, 2), (4, 2), (4, 3), (5, 3)])
     def test_keys_pack_each_rank_with_its_flat_row(self, n, dtype, k, j):
@@ -521,8 +535,8 @@ class TestSortedKeys:
         edges = [tuple(range(1, k + 1)), tuple(range(2, k + 2)),
                  tuple(range(1, k)) + (n - 1,), (1,) + tuple(range(n - k + 2, n + 1))]
         h = Hypergraph(n, k, edges)
-        keys, count = hypergraph._sorted_keys(h, j)
-        fan = math.comb(k, j)
+        keys = hypergraph._sorted_keys(h, j)
+        count, fan = len(keys), math.comb(k, j)
         assert count == fan * len(edges) and keys.dtype == dtype
         assert keys.tolist() == sorted(
             rank_subset(sub, n) * count + e * fan + i
@@ -535,14 +549,14 @@ class TestSortedKeys:
                                     (2, 5 * 10**9, n - 1), (1, 3, n), (1, 2, n - 1)])
         for j in (1, 2):
             self.assert_matches_stable_argsort(h, j)
-        assert hypergraph._sorted_keys(h, 2)[0].dtype == object
+        assert hypergraph._sorted_keys(h, 2).dtype == object
 
     def test_int64_ranks_whose_keys_pass_int64(self):
         # C(n, 2) ranks fit int64, but C(n, 2) * 6 keys do not
         n = 2**31 - 1
         assert colex_dtype(n, 2) is np.int64 and math.comb(n, 2) * 6 >= 2**63
         h = Hypergraph(n, 3, [(1, 2, 3), (1, 2, n)])
-        assert hypergraph._sorted_keys(h, 2)[0].dtype == object
+        assert hypergraph._sorted_keys(h, 2).dtype == object
         self.assert_matches_stable_argsort(h, 2)
         comps, jmap = j_components(h, 2)
         assert [(c.size, c.order, c.is_hypertree) for c in comps] == [(2, 5, True)]
@@ -558,7 +572,7 @@ class TestDecompositionMemory:
         # the sorted keys and their run starts, with no gathered copy of the
         # edges, no row column and no filtered j-set map columns
         h = sample(n, k, TheoryParams(n, k, j, 0.3).p, trial_seed(5, 0))
-        keys, _ = hypergraph._sorted_keys(h, j)
+        keys = hypergraph._sorted_keys(h, j)
         tracemalloc.start()
         try:
             hypergraph._decompose(h, j)

@@ -44,8 +44,9 @@ class TestSearch:
         h = sample(params.n, params.k, params.p, 12)
         start = h.edges[0][:2]
         tr = search_component(h, 2, start)
-        for e in tr.discovered_ksets:
-            assert any(set(jset) <= set(e) for jset in tr.discovered_jsets)
+        jsets = [label for kind, label in tr.pops if kind == "J"]
+        for e in (label for kind, label in tr.pops if kind == "K"):
+            assert any(set(jset) <= set(e) for jset in jsets)
 
     def test_agreement_with_union_find_oracle(self):
         params = TheoryParams(40, 3, 2, 0.3)
@@ -96,7 +97,7 @@ class TestBranching:
             for v, kind in enumerate(t.types):
                 if kind != "j":
                     continue
-                labels = [t.labels[c] for c in t.children[v]]
+                labels = [t.labels[c] for c, u in enumerate(t.parents) if u == v]
                 assert len(labels) == len(set(labels))
 
     def test_k_vertex_children_are_its_other_jsets(self):
@@ -108,7 +109,7 @@ class TestBranching:
             parent_label = t.labels[t.parents[v]]
             klabel = set(t.labels[v])
             assert set(parent_label) <= klabel
-            child_labels = {t.labels[c] for c in t.children[v]}
+            child_labels = {t.labels[c] for c, u in enumerate(t.parents) if u == v}
             assert len(child_labels) == params.c0
             from itertools import combinations
 
