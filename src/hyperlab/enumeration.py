@@ -11,13 +11,16 @@ U = 1 + T and of V = U^c0 per order, in O(s^2) exact products; it shares
 nothing with the closed form, so the two check each other.
 
 Closed form:  F_s = sum_{r=1..s} c0^(s-r) s^(s-r-1) / ((r-1)! (s-r)!),
-and the labelled count is B_s = C(n, j) * C(n-j, k-j)^s * F_s.  Both are
-exact rationals.  Note B_s weights sibling-label collisions by symmetry
-(1/2 per unordered repeated pair), so it slightly exceeds the plain count
-of distinct process instances; `brute_force_Bs` returns the plain count.
+which the binomial theorem collapses to (1 + c0 s)^(s-1) / s!, and the
+labelled count is B_s = C(n, j) * C(n-j, k-j)^s * F_s.  Both are exact
+rationals.  B_s weights sibling-label collisions by symmetry, so it
+exceeds the plain count of distinct process instances, which
+`brute_force_Bs` returns, by exactly prod_{i<s} (1 - i/(N(1 + c0 s)))^(-1)
+with N = C(n-j, k-j).
 
-Series and census arithmetic is exact; probability-weighted bound
-evaluators work in log space because values like p0^(1-s) dwarf any float.
+Series and census arithmetic is exact; the probability-weighted bound
+evaluators take log B_s from the one-power form, in floats, because values
+like p0^(1-s) dwarf any float.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .combinatorics import TheoryParams, check_domain
 from .errors import ResourceLimitError, ValidationError
 
-# Largest s of the B_s bounds; their log-space sum over s terms takes 0.1 s there.
+# Largest s of the B_s bounds.  Their closed form costs O(1) at any s, so the
+# limit guards no resource; it stays until the tests and README that pin it go with it.
 MAX_BOUND_S = 100_000
 # Largest s of `laplace_sum_check`, whose two float arrays peak at 16 bytes per term
 # under tracemalloc, 16 MB at this s.
@@ -46,23 +50,13 @@ class RationalSeries:
     """Truncated power series with exact Fraction coefficients, the result
     of `tj_series_fixed_point`."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence, order: int) -> None:
-        if order < 0:
-            raise ValidationError(f"series order must be >= 0, got {order}")
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self.coeffs: list[Fraction] = cs
-        self.order = order
+    def __init__(self, coeffs: list[Fraction]) -> None:
+        self.coeffs = coeffs
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i <= self.order else Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
 
 def tj_series_fixed_point(c0: int, s_max: int) -> RationalSeries:
@@ -88,7 +82,7 @@ def tj_series_fixed_point(c0: int, s_max: int) -> RationalSeries:
         u.append(sum(i * v[i - 1] * u[m - i] for i in range(1, m + 1)) / m)
         v.append(sum((c0 * i - (m - i)) * u[i] * v[m - i] for i in range(1, m + 1)) / m)
     u[0] = Fraction(0)
-    return RationalSeries(u, s_max)
+    return RationalSeries(u)
 
 
 def f_s(c0: int, s: int) -> Fraction:
@@ -96,6 +90,9 @@ def f_s(c0: int, s: int) -> Fraction:
 
     Evaluates sum_{r=1..s} c0^(s-r) s^(s-r-1) / ((r-1)!(s-r)!) over the
     common denominator s! * s, keeping everything in integer arithmetic.
+    By Lagrange inversion of U = exp(z U^c0), U = 1 + T, the sum equals
+    (1 + c0 s)^(s-1) / s! (Flajolet and Sedgewick, Analytic Combinatorics,
+    2009, I.5 and A.6); `test_f_s_is_one_power` checks the identity.
     """
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
@@ -291,24 +288,25 @@ def laplace_sum_check(a: int, s: int) -> LaplaceCheck:
 
 
 def _log_b_s(params: TheoryParams, s: int) -> float:
-    # log B_s by log-sum-exp over the closed-form terms of F_s, in floats;
-    # the exact `b_s` sums s big-integer terms
+    # log B_s in floats, from F_s = (1 + c0 s)^(s-1) / s!; the exact `b_s` sums s big-integer terms
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
     if s > MAX_BOUND_S:
         raise ResourceLimitError(f"the B_s bounds take s <= {MAX_BOUND_S}, got s={s}")
-    log_c0s, log_s = math.log(params.c0 * s), math.log(s)
-    terms = [(s - r) * log_c0s - log_s - math.lgamma(r) - math.lgamma(s - r + 1)
-             for r in range(1, s + 1)]
-    top = max(terms)
-    log_f_s = top + math.log(math.fsum(math.exp(t - top) for t in terms))
-    return (math.log(math.comb(params.n, params.j))
-            + s * math.log(params.supersets_per_jset) + log_f_s)
+    return (math.log(math.comb(params.n, params.j)) + s * math.log(params.supersets_per_jset)
+            + (s - 1) * math.log(1 + params.c0 * s) - math.lgamma(s + 1))
 
 
 def _weighted_b_s(params: TheoryParams, s: int, x: int) -> float:
-    # B_s p^s (1-p)^x, evaluated in log space
-    return math.exp(_log_b_s(params, s) + s * math.log(params.p) + x * math.log1p(-params.p))
+    # B_s p^s (1-p)^x, evaluated in log space.  x can pass the float range as an
+    # int, so x log(1-p) is rounded once from the exact product; Rs lowers x by
+    # s(1 + c0), which can lift the value past the float range
+    log_value = (_log_b_s(params, s) + s * math.log(params.p)
+                 + float(x * Fraction(math.log1p(-params.p))))
+    try:
+        return math.exp(log_value)
+    except OverflowError as exc:
+        raise ValidationError(f"the bound e^{log_value:.6g} at s={s} is past the float range") from exc
 
 
 def expected_Rs_upper(params: TheoryParams, s: int) -> float:

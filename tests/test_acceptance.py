@@ -9,6 +9,7 @@ kept faithful rather than loosened.
 
 import math
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from hyperlab.combinatorics import TheoryParams, rank_subset
@@ -58,8 +59,6 @@ def test_series_oracle_to_order_100():
 
 def test_c02_tree_count_bracket_exact():
     t0 = time.perf_counter()
-    from fractions import Fraction
-
     for c0 in range(1, 7):
         low, high = exp_reciprocal_bounds(c0, 202)
         for s in range(1, 201):
@@ -68,6 +67,13 @@ def test_c02_tree_count_bracket_exact():
             assert lower <= fs <= lower * high
             assert fs <= lower * low  # strict variant at the truncated series
     _report(2, "two-sided tree-count bracket, c0<=6, s<=200", t0, 30)
+
+
+def test_f_s_is_one_power():
+    # Lagrange inversion of U = exp(z U^c0), U = 1 + T: [z^s] U = (1 + c0 s)^(s-1) / s!
+    for c0 in range(1, 7):
+        for s in range(1, 61):
+            assert f_s(c0, s) == Fraction((1 + c0 * s) ** (s - 1), math.factorial(s))
 
 
 def test_c03_graph_case_component_oracle():

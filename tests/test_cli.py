@@ -248,6 +248,24 @@ class TestBounds:
                                      "--j", "2", "--ell", ell)
             assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_rs_beyond_float_range_exits_one(self, capsys):
+        # Rs lowers the (1-p) exponent by s(1 + c0); at (3,3,2) it turns negative
+        for base in (["--n", "3", "--k", "3", "--j", "2", "--epsilon", "0.3", "--s", "1000"],
+                     ["--n", "60", "--k", "4", "--j", "3", "--epsilon", "0.05", "--s", "100000"]):
+            code, out, err = run_cli(capsys, "bounds", "--which", "rs", *base)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "past the float range" in err
+            assert run_cli(capsys, "bounds", "--which", "cs", *base)[0] == 0
+
+    def test_rs_cs_past_float_c0_s(self, capsys):
+        # c0 s = 2.8e308, and the Cs exponent (1 + c0 s), pass the float range as ints
+        base = ["--n", "1020", "--k", "1020", "--j", "510", "--epsilon", "0.3", "--s", "1000"]
+        for which, name in (("rs", "expected_Rs_upper"), ("cs", "expected_Cs_lower_reference")):
+            code, out, err = run_cli(capsys, "bounds", "--which", which, *base)
+            label, value = out.strip().split("=")
+            assert code == 0 and err == "" and label == name
+            assert 0.0 < float(value) < math.inf
+
     def test_wheel_constant_too_large_exits_three(self, capsys):
         big = str(10**15)
         code, _, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", big, "--k", big,

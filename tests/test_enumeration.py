@@ -189,8 +189,8 @@ class TestBruteForceBs:
             assert hyper <= total
 
     def test_weighted_formula_overcounts_sibling_collisions(self):
-        # the closed-form count weighs unordered sibling repeats by 1/2,
-        # so it exceeds the plain census when labels can collide
+        # the closed-form count weighs sibling repeats by symmetry, so it
+        # exceeds the plain census, here by (1 - 1/9)^(-1), when labels can collide
         params = TheoryParams(4, 2, 1, 0.3)
         assert b_s(params, 2) == Fraction(54)
         assert brute_force_Bs(4, 2, 1, 2)[0] == 48
@@ -201,6 +201,21 @@ class TestBruteForceBs:
             total, hyper = brute_force_Bs(n, 2, 1, 2)
             fractions.append(Fraction(hyper, total))
         assert fractions[0] < fractions[1] < fractions[2] < 1
+
+    @pytest.mark.parametrize("n, k, j, s", [
+        *((n, k, j, s) for n, k, j in [(4, 2, 1), (5, 2, 1), (6, 2, 1), (9, 2, 1), (5, 3, 2), (6, 3, 2),
+                                       (6, 3, 1), (5, 4, 2), (6, 4, 3), (7, 4, 3)] for s in (1, 2, 3)),
+        *((n, k, j, 4) for n, k, j in [(4, 2, 1), (5, 2, 1), (6, 2, 1), (9, 2, 1), (5, 3, 2)]),
+    ])
+    def test_total_closed_form(self, n, k, j, s):
+        # total = C(n, j) C(N(1+c0 s), s) / (1+c0 s), N = C(n-j, k-j), and the
+        # weighted B_s exceeds it by exactly prod_{i<s} (1 - i/(N(1+c0 s)))^(-1)
+        c0 = math.comb(k, j) - 1
+        m = math.comb(n - j, k - j) * (1 + c0 * s)
+        total = brute_force_Bs(n, k, j, s)[0]
+        assert total == Fraction(math.comb(n, j) * math.comb(m, s), 1 + c0 * s)
+        excess = math.prod(Fraction(m, m - i) for i in range(s))
+        assert b_s(TheoryParams(n, k, j, 0.3), s) == total * excess
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -283,11 +298,28 @@ class TestProbabilityBounds:
                 log_exact = math.log(exact.numerator) - math.log(exact.denominator)
                 assert _log_b_s(params, s) == pytest.approx(log_exact, rel=1e-14)
 
+    def test_log_b_s_past_float_c0_s(self):
+        # at (1020, 1020, 510), s = 1000, c0 s = 2.8e308 passes the float range;
+        # B_s = C(n, j) N^s (1 + c0 s)^(s-1) / s! with N = 1, taken in exact ints
+        params, s = TheoryParams(1020, 1020, 510, 0.3), 1000
+        log_exact = (math.log(math.comb(1020, 510)) + math.log((1 + params.c0 * s) ** (s - 1))
+                     - math.log(math.factorial(s)))
+        assert _log_b_s(params, s) == pytest.approx(log_exact, rel=1e-14)
+        assert 0.0 < expected_Rs_upper(params, s) < math.inf
+        assert 0.0 < expected_Cs_lower_reference(params, s) < math.inf
+
     def test_bounds_beyond_s_limit_refused(self):
         params = TheoryParams(60, 3, 2, 0.3)
         assert 0.0 <= expected_Rs_upper(params, MAX_BOUND_S) < 1e-300
         with pytest.raises(ResourceLimitError):
             expected_Cs_lower_reference(params, MAX_BOUND_S + 1)
+
+    @pytest.mark.parametrize("n, k, j, epsilon, s", [(3, 3, 2, 0.3, 1000), (60, 4, 3, 0.05, 100_000)])
+    def test_rs_past_float_range_refused(self, n, k, j, epsilon, s):
+        params = TheoryParams(n, k, j, epsilon)
+        with pytest.raises(ValidationError, match="past the float range"):
+            expected_Rs_upper(params, s)
+        assert 0.0 <= expected_Cs_lower_reference(params, s) < math.inf
 
     def test_rs_degenerate_exponent(self):
         # n = k = 2: the (1-p) exponent is zero and the bound is B_1 * p
