@@ -36,9 +36,6 @@ import numpy as np
 from .combinatorics import TheoryParams, check_domain
 from .errors import ResourceLimitError, ValidationError
 
-# Largest s of the B_s bounds.  Their closed form costs O(1) at any s, so the
-# limit guards no resource; it stays until the tests and README that pin it go with it.
-MAX_BOUND_S = 100_000
 # Largest s of `laplace_sum_check`, whose two float arrays peak at 16 bytes per term
 # under tracemalloc, 16 MB at this s.
 MAX_LAPLACE_S = 1_000_000
@@ -291,10 +288,14 @@ def _log_b_s(params: TheoryParams, s: int) -> float:
     # log B_s in floats, from F_s = (1 + c0 s)^(s-1) / s!; the exact `b_s` sums s big-integer terms
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    if s > MAX_BOUND_S:
-        raise ResourceLimitError(f"the B_s bounds take s <= {MAX_BOUND_S}, got s={s}")
-    return (math.log(math.comb(params.n, params.j)) + s * math.log(params.supersets_per_jset)
-            + (s - 1) * math.log(1 + params.c0 * s) - math.lgamma(s + 1))
+    try:
+        log_b = (math.log(math.comb(params.n, params.j)) + s * math.log(params.supersets_per_jset)
+                 + (s - 1) * math.log(1 + params.c0 * s) - math.lgamma(s + 1))
+    except OverflowError:  # an int s past the float range, or lgamma(s + 1)
+        log_b = math.inf
+    if log_b < math.inf:  # near the float range a product can round to inf
+        return log_b
+    raise ValidationError(f"log B_s at a {s.bit_length()}-bit s is past the float range")
 
 
 def _weighted_b_s(params: TheoryParams, s: int, x: int) -> float:

@@ -43,6 +43,7 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterator, Optional
 
@@ -479,9 +480,14 @@ def find_wheel(edges_of: Callable, j: int, start: tuple) -> Optional[Wheel]:
 def brute_force_wheel_census(n: int, k: int, j: int, ell: int) -> int:
     """Count distinct wheels of length ell with vertices from [1, n].
 
-    Exhaustive generation with canonicalization; sequences equal up to
-    rotation or reversal are identified.  Cost grows like C(n, k)^ell, so a
-    guard refuses n > 10 or ell > 4.
+    Counts the sequences (K_1, J_1, ..., K_ell, J_ell) from K_1 = {1..k} and
+    J_1 = {1..j}, each K_(i+1) built as J_i plus k - j vertices and the last
+    j-set counted, not listed.  A wheel's edges are distinct, so no rotation
+    or reversal fixes a sequence and each wheel is 2 * ell of them; Sym([n])
+    maps wheels to wheels and is transitive on (k-set, j-subset) pairs, so
+    the census is C(n, k) C(k, j) rooted / (2 ell), and a remainder raises.
+    Up to (C(n-j, k-j) C(k, j))^(ell-1) edges are visited; a guard refuses
+    n > 10 or ell > 4.
     """
     if ell < 2:
         raise ValidationError(f"wheel length must be >= 2, got {ell}")
@@ -489,32 +495,24 @@ def brute_force_wheel_census(n: int, k: int, j: int, ell: int) -> int:
     if n > 10 or ell > 4:
         raise ResourceLimitError(f"census guard: need n <= 10 and ell <= 4, got n={n}, ell={ell}")
 
-    ksets = [tuple(c) for c in combinations(range(1, n + 1), k)]
-    seen: set[tuple] = set()
+    @cache
+    def masks(vertices: int, r: int) -> list[int]:
+        # the r-subsets of a vertex bitmask, as bitmasks
+        return [sum(c) for c in combinations([1 << b for b in range(n) if vertices >> b & 1], r)]
 
-    def extend(edges: list[tuple[int, ...]], jsets: list[tuple[int, ...]]) -> None:
-        i = len(jsets)  # about to pick J_{i+1} inside edges[i]
-        if i == ell - 1:
-            # last j-set must close the cycle into edges[0]
-            closing = set(edges[-1]) & set(edges[0])
-            for sub in combinations(sorted(closing), j):
-                if sub in jsets:
-                    continue
-                w = Wheel(edges=tuple(edges), jsets=tuple(jsets) + (sub,))
-                seen.add(w.canonical())
-            return
-        for sub in combinations(edges[-1], j):
-            if sub in jsets:
-                continue
-            sub_set = set(sub)
-            for cand in ksets:
-                if cand in edges or not sub_set <= set(cand):
-                    continue
-                extend(edges + [cand], jsets + [sub])
+    def extend(edges: list[int], jsets: list[int]) -> int:
+        # rooted sequences going on from edges[-1] through jsets[-1]
+        nexts = [e for rest in masks(~jsets[-1], k - j) if (e := jsets[-1] | rest) not in edges]
+        if len(edges) == ell - 1:  # the last j-set: a j-subset of e & K_1 not taken yet
+            return sum(math.comb((e & edges[0]).bit_count(), j)
+                       - sum(s & e & edges[0] == s for s in jsets) for e in nexts)
+        return sum(extend(edges + [e], jsets + [s]) for e in nexts for s in masks(e, j) if s not in jsets)
 
-    for first in ksets:
-        extend([first], [])
-    return len(seen)
+    rooted = extend([(1 << k) - 1], [(1 << j) - 1])
+    wheels, rest = divmod(math.comb(n, k) * math.comb(k, j) * rooted, 2 * ell)
+    if rest:
+        raise ArithmeticError(f"{rooted} rooted sequences do not split into wheels of {2 * ell}")
+    return wheels
 
 
 # -- text format ------------------------------------------------------------

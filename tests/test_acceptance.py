@@ -186,7 +186,7 @@ def test_c06_wheel_census_within_bound():
         assert census <= bound
         results.append(census)
     assert results[0] == 0  # length-2 wheels are impossible for k=3, j=2
-    _report(6, "exhaustive wheel census below analytic bound", t0, 120, f"counts={results}")
+    _report(6, "exact wheel census below analytic bound", t0, 120, f"counts={results}")
 
 
 def test_c07_laplace_sum_grid():

@@ -280,12 +280,13 @@ class TestBounds:
                                "--s", str(10**15))
         assert code == 3 and err.startswith("resource guard:")
 
-    def test_rs_cs_up_to_the_s_limit(self, capsys):
+    def test_rs_cs_take_any_s_short_of_the_float_range(self, capsys):
         base = ["--n", "60", "--k", "3", "--j", "2", "--epsilon", "0.3"]
         for which in ("rs", "cs"):
-            assert run_cli(capsys, "bounds", "--which", which, *base, "--s", "100000")[0] == 0
-            code, _, err = run_cli(capsys, "bounds", "--which", which, *base, "--s", "100001")
-            assert code == 3 and err.startswith("resource guard:")
+            assert run_cli(capsys, "bounds", "--which", which, *base, "--s", "100001")[0] == 0
+            code, out, err = run_cli(capsys, "bounds", "--which", which, *base, "--s", str(10**400))
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error:") and "past the float range" in err
 
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "8")

@@ -800,7 +800,44 @@ class TestFindWheel:
             assert all(c.is_hypertree == (c.wheel_witness is None) for c in comps)
 
 
+def canonical_wheel_census(n, k, j, ell):
+    """Wheels of length ell on [1, n] by exhaustive generation from every
+    first edge, one canonical listing per wheel: the census's oracle."""
+    ksets = [tuple(c) for c in combinations(range(1, n + 1), k)]
+    seen: set[tuple] = set()
+
+    def extend(edges: list[tuple[int, ...]], jsets: list[tuple[int, ...]]) -> None:
+        i = len(jsets)  # about to pick J_{i+1} inside edges[i]
+        if i == ell - 1:
+            # last j-set must close the cycle into edges[0]
+            closing = set(edges[-1]) & set(edges[0])
+            for sub in combinations(sorted(closing), j):
+                if sub in jsets:
+                    continue
+                w = Wheel(edges=tuple(edges), jsets=tuple(jsets) + (sub,))
+                seen.add(w.canonical())
+            return
+        for sub in combinations(edges[-1], j):
+            if sub in jsets:
+                continue
+            sub_set = set(sub)
+            for cand in ksets:
+                if cand in edges or not sub_set <= set(cand):
+                    continue
+                extend(edges + [cand], jsets + [sub])
+
+    for first in ksets:
+        extend([first], [])
+    return len(seen)
+
+
 class TestWheelCensus:
+    @pytest.mark.parametrize("k, j", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+    def test_matches_canonical_enumeration(self, k, j):
+        cases = [(n, ell) for ell in (2, 3, 4) for n in range(k, (6 if ell < 4 else 5) + 1)]
+        for n, ell in cases:
+            assert brute_force_wheel_census(n, k, j, ell) == canonical_wheel_census(n, k, j, ell)
+
     def test_length_two_impossible_for_k3_j2(self):
         assert brute_force_wheel_census(4, 3, 2, 2) == 0
 
