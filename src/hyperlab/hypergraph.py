@@ -18,18 +18,14 @@ neighbouring ranks link two edges through a shared j-set, and `_decompose`
 finds the components of that edge graph by hook-and-shortcut, reading a
 key's edge only at the links, and returns the sorted keys with their run
 starts; it keeps none of them, since its callers drop the hypergraph right
-after.  `jset_lookup` maps a j-set to its edges by bisecting the sorted keys
-in place (object keys, past int64, as a list).  It sorts them once per
-(hypergraph, j) and keeps them on the hypergraph, 8 bytes per j-subset, so
-that repeated searches and couplings on one hypergraph sort once.
-Over that map one traversal, `walk`, serves the component search, coupling
-and the wheel search, `find_wheel`, a depth-first walk from any edge or
-j-set of a component.  The one witness routine, `_witnesses`, walks from
-each non-hypertree component's first edge over one lookup of the
-decomposition's keys, since a j-set's run of keys never leaves its
-component.  `j_components` adds its summaries and a j-set map from the
-keys' run starts on top; `components` prints from the columns, counting
-the isolated j-sets as C(n, j) minus the sum of the orders.
+after.  `jset_lookup` maps a j-set to its edges by bisecting the sorted keys,
+which it keeps on the hypergraph.  Over that map one traversal, `walk`,
+serves the component search, coupling and the wheel search, `find_wheel`,
+a depth-first walk from any edge or j-set of a component; `_witnesses` runs
+it from each non-hypertree component's first edge.  `j_components` adds its
+summaries and a j-set map from the keys' run starts on top; `components`
+prints from the columns, counting the isolated j-sets as C(n, j) minus the
+sum of the orders.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -74,8 +70,8 @@ class Hypergraph:
         if isinstance(edges, np.ndarray) and edges.dtype.kind == "u":
             edges = edges.tolist()  # Python ints: uint64 past int64 takes the object path
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
-            # a view, so that making it read-only leaves the caller's array writeable
-            self.array = edges.astype(np.int64, copy=False).view()
+            # C-contiguous for the lookup's flat view; a view, so the caller's stays writeable
+            self.array = np.ascontiguousarray(edges, dtype=np.int64).view()
         else:
             try:
                 self.array = tuple(map(tuple, edges))
@@ -325,17 +321,23 @@ def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]
 
 def _edges_of(array: np.ndarray, keys: np.ndarray, fan: int) -> Callable:
     # `edges_of` over the sorted keys rank * count + row of `array`'s
-    # j-subsets, count = len(keys) rows and fan per edge.  An int64 array is
-    # bisected through a memoryview, whose items are Python ints; an object
-    # array exports no such buffer.
-    count = len(keys)
+    # j-subsets, count = len(keys) rows and fan per edge: edge e is the slice
+    # [e*k, e*k + k) of the flat C-contiguous `array`.  Int64 keys are bisected
+    # through a memoryview, whose items are Python ints; object keys as a list.
+    count, k = len(keys), array.shape[1]
     keys = keys.tolist() if keys.dtype == object else memoryview(keys)
+    rows, comb = array.reshape(-1), math.comb
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
-        low = count * sum(math.comb(v - 1, i) for i, v in enumerate(jset, start=1))
-        lo = bisect_left(keys, low)
-        return [tuple(array[key % count // fan].tolist())
-                for key in keys[lo:bisect_left(keys, low + count, lo)]]
+        rank = 0
+        for i, v in enumerate(jset, 1):
+            rank += comb(v - 1, i)
+        lo = bisect_left(keys, rank * count)
+        edges = []
+        for key in keys[lo:bisect_left(keys, (rank + 1) * count, lo)]:
+            e = key % count // fan * k
+            edges.append(tuple(rows[e:e + k].tolist()))
+        return edges
 
     return edges_of
 

@@ -3,9 +3,8 @@
 The search explores one j-component of a hypergraph with a breadth-first
 `hypergraph.walk`, as `coupled_run` does to size it: popping a j-set looks
 its edges up with `hypergraph.jset_lookup`, popping a k-set activates its
-undiscovered j-subsets.  The lookup's sorted keys are built once per
-(hypergraph, j) and kept on the hypergraph, so searches and coupled runs
-from many starts on one hypergraph sort its j-subsets once.  The branching
+undiscovered j-subsets.  The lookup keeps its sorted keys on the hypergraph,
+so runs from many starts on one hypergraph sort them once.  The branching
 process mirrors the search but never skips: every type-j vertex queries all
 C(n-j, k-j) candidate k-sets independently with probability p, and each
 spawned type-k vertex attaches c0 = C(k,j) - 1 fresh type-j children
@@ -17,7 +16,8 @@ indicator, repeat queries by the branching process draw fresh Bernoulli(p)
 outcomes.  Every k-set the search discovers is in the hypergraph, so its
 first query created a branching vertex with that label; distinct labels
 give distinct vertices, hence branching size >= component size on every
-run, not merely in expectation.
+run, not merely in expectation.  A run caches the lookup for its length, so
+the walk that sizes the component rereads what the first queries fetched.
 
 `branching_with_rate` and `coupled_run` grow their trees in one
 breadth-first loop; they differ only in the rule that turns one pop's
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Optional
 
@@ -127,15 +128,19 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
         raise ResourceLimitError(
             f"each popped j-set would draw C(n-j, k-j) uniforms, more than {MAX_DRAWS}")
     rng = make_generator(seed)
-    n_candidates = math.comb(n - j, k - j)
+    # refilled per pop; rng.random(out=draws) draws the doubles rng.random(N) would
+    draws = np.empty(math.comb(n - j, k - j))
+    hit = np.empty(draws.size, bool)
     tree = TwoTypeTree()
     tree.add("j", root, None)
     queue: deque[int] = deque([0])
     while queue:
         u_idx = queue.popleft()
         jlabel = tree.labels[u_idx]
+        rng.random(out=draws)
+        np.less(draws, p, out=hit)
         hits = []
-        for i in np.flatnonzero(rng.random(n_candidates) < p).tolist():
+        for i in hit.nonzero()[0].tolist():
             # colex rank i among the n - j vertices outside jlabel: the v-th
             # of them is v stepped past each label vertex at or below it
             added = []
@@ -187,12 +192,15 @@ def coupled_run(
 
     A k-set has been queried before iff one of its j-subsets was already
     expanded, so the first-query bookkeeping tracks expanded labels only.
+    The lookup is cached for this call alone, one edge list per distinct
+    popped label (memory of the order of the tree's size), so each j-set is
+    looked up once; the walk looks up only j-sets a truncated run never reached.
     """
     j = params.j
     start = _validate_jset(start, h.n, j)
     if (h.n, h.k) != (params.n, params.k):
         raise ValidationError("hypergraph and params disagree on (n, k)")
-    edges_of = jset_lookup(h, j)
+    edges_of = cache(jset_lookup(h, j))
     expanded: set[tuple[int, ...]] = set()
 
     def queried_before(klabel: tuple[int, ...]) -> bool:

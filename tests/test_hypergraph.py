@@ -605,6 +605,28 @@ class TestJsetLookup:
         untouched = [(1, n - 1), (4, n), (n - 2, n - 1)]
         self.assert_matches_scan(h, 2, sorted(touched) + untouched)
 
+    def test_strided_rows(self):
+        # every other row of a colex array, a strided view, is copied once
+        given = sample(30, 3, 0.05, 8).array[::2]
+        assert not given.flags.c_contiguous and len(given) > 10
+        h = Hypergraph(30, 3, given)
+        assert h.array.flags.c_contiguous and np.array_equal(h.array, given)
+        self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
+
+    def test_fortran_order_rows(self):
+        given = np.asfortranarray(sample(30, 4, 0.01, 9).array)
+        assert not given.flags.c_contiguous and len(given) > 10
+        h = Hypergraph(30, 4, given)
+        assert h.array.flags.c_contiguous and np.array_equal(h.array, given)
+        assert given.flags.writeable
+        for j in (1, 2, 3):
+            self.assert_matches_scan(h, j, combinations(range(1, 31), j))
+
+    def test_contiguous_rows_are_not_copied(self):
+        given = np.array(sample(30, 3, 0.05, 8).array)
+        h = Hypergraph(30, 3, given)
+        assert np.shares_memory(h.array, given) and given.flags.writeable
+
     def test_sorts_once_per_j(self):
         h = sample(30, 3, 0.02, 8)
         with mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys) as sorts:

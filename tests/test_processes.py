@@ -1,21 +1,57 @@
 import math
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
+from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from hyperlab import hypergraph, processes
-from hyperlab.combinatorics import TheoryParams, rank_subset
+from hyperlab.combinatorics import TheoryParams, rank_subset, unrank_subset
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.hypergraph import Hypergraph, j_components, sample
 from hyperlab.processes import (
+    MAX_DRAWS,
+    TwoTypeTree,
     branching_with_rate,
     coupled_run,
     format_trace,
     search_component,
 )
-from hyperlab.rng import trial_seed
+from hyperlab.rng import make_generator, trial_seed
+
+PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
+
+
+def reference_branch(n, k, j, p, root, seed, cap):
+    # The free process with one fresh rng.random(N) array per popped j-set,
+    # the draw that the preallocated buffers replaced.
+    rng = make_generator(seed)
+    n_candidates = math.comb(n - j, k - j)
+    tree = TwoTypeTree()
+    tree.add("j", root, None)
+    queue = deque([0])
+    while queue:
+        u_idx = queue.popleft()
+        jlabel = tree.labels[u_idx]
+        hits = []
+        for i in np.flatnonzero(rng.random(n_candidates) < p).tolist():
+            added = []
+            for v in unrank_subset(i, k - j, n - j):
+                for a in jlabel:
+                    v += a <= v
+                added.append(v)
+            hits.append(tuple(sorted(jlabel + tuple(added))))
+        for klabel in hits:
+            if tree.size >= cap:
+                tree.truncated = True
+                return tree
+            k_idx = tree.add("k", klabel, u_idx)
+            for sub in combinations(klabel, j):
+                if sub != jlabel:
+                    queue.append(tree.add("j", sub, k_idx))
+    return tree
 
 
 class TestSearch:
@@ -175,6 +211,32 @@ class TestBranching:
             with pytest.raises(ValidationError, match="cap must be >= 1"):
                 branching_with_rate(10, 3, 2, 0.1, (1, 2), seed=0, cap=cap)
 
+    @pytest.mark.parametrize("k, j", PAIRS)
+    def test_draws_match_one_array_per_pop(self, k, j):
+        # n = k leaves one candidate k-set per pop; p at mean offspring 3
+        # grows trees past the small caps
+        root = tuple(range(1, j + 1))
+        shapes = Counter()
+        for n, mean, cap in [(k, 0.9, 40), (k, 3, 8), (12, 3, 6), (12, 0.9, processes.DEFAULT_CAP),
+                             (30, 0.9, processes.DEFAULT_CAP)]:
+            p = min(1.0, mean / ((math.comb(k, j) - 1) * math.comb(n - j, k - j)))
+            for seed in range(25):
+                tree = branching_with_rate(n, k, j, p, root, seed, cap)
+                assert tree == reference_branch(n, k, j, p, root, seed, cap)
+                shapes[tree.truncated, tree.size > 0] += 1
+        assert shapes[True, True] and shapes[False, True] and shapes[False, False]
+
+    def test_over_max_draws_refused_before_any_buffer(self):
+        # MAX_DRAWS + 1 candidates per pop: the two buffers would take 36 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="uniforms"):
+                branching_with_rate(MAX_DRAWS + 2, 2, 1, 0.0, (1,), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_refuses_bad_n_k_j(self):
         # j >= k, j < 1, k > n and k < 2 have no process to run
         for n, k, j in [(10, 3, 3), (10, 3, 4), (10, 3, 0), (2, 3, 1), (10, 1, 1)]:
@@ -268,6 +330,43 @@ class TestCoupling:
             trace = search_component(h, 2, starts[0])
         assert trace.size == comps[jmap[rank_subset(starts[0], params.n)]].size
         assert len(starts) == 27 and sorts.call_count == 1
+
+    @pytest.mark.parametrize("cap", [processes.DEFAULT_CAP, 5])
+    def test_each_jset_looked_up_once(self, monkeypatch, cap):
+        # The walk that sizes the component rereads the branching's lookups:
+        # an untruncated run looks up exactly the labels its branching popped.
+        lookup, branch = processes.jset_lookup, processes._branch
+        asked, trees = [], []
+
+        def counting_lookup(h, j):
+            edges_of = lookup(h, j)
+            return lambda jset: asked.append(jset) or edges_of(jset)
+
+        def keeping_branch(*args):
+            trees.append(branch(*args))
+            return trees[-1]
+
+        runs = Counter()
+        for pi, (k, j) in enumerate(PAIRS[:4]):
+            params = TheoryParams(60, k, j, 0.3)
+            for s in range(8):
+                h = sample(params.n, params.k, params.p, trial_seed(430 + pi, s))
+                for start in [e[:j] for e in h.edges[:3]] + [tuple(range(61 - j, 61))]:
+                    seed = trial_seed(530 + pi, sum(runs.values()))
+                    expected = coupled_run(h, params, start, seed, cap)
+                    asked.clear()
+                    trees.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(processes, "jset_lookup", counting_lookup)
+                        m.setattr(processes, "_branch", keeping_branch)
+                        assert coupled_run(h, params, start, seed, cap) == expected
+                    (tree,) = trees
+                    assert len(asked) == len(set(asked))
+                    if not tree.truncated:
+                        assert set(asked) == {u for kind, u in zip(tree.types, tree.labels)
+                                              if kind == "j"}
+                    runs[tree.truncated, expected[0] > 1] += 1
+        assert runs[False, True] and runs[cap == 5, True] and sum(runs.values()) > 100
 
     def test_stored_keys_leave_results_unchanged(self):
         params = TheoryParams(40, 3, 2, 0.3)
