@@ -52,7 +52,6 @@ from .processes import (
     TwoTypeTree,
     branching_with_rate,
     coupled_run,
-    format_trace,
     search_component,
 )
 from .rng import RNG_ALGORITHM, make_generator, splitmix64, trial_seed

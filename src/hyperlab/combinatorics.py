@@ -154,18 +154,30 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     whose row r is the subset of [1, n] at colex rank ranks[r].
 
     Position i (from the top) holds 1 + the largest x with C(x, i) <= rem,
-    found by `searchsorted` in the table of C(x, i) over x in [0, n), so
-    every rank costs O(size * log n).  Each table costs O(n) once: the
-    last 16 built are kept, read-only, so repeated calls at one (n, size)
-    build none.  The last position needs no table: C(x, 1) = x, so it
-    holds rem + 1.
+    found by `searchsorted` in the table of C(x, i) over x in [0, n).  At
+    position 2 below the top, whose remainders come unsorted (the top's
+    come sorted from `sample`), int64 ranks use a closed form instead:
+    C(x, 2) <= rem iff x <= 1/2 + sqrt(2 * rem + 1/4), whose float value,
+    clamped to [1, n-1], is within one of that x; one step down and one
+    step up, checked against the table and never past n-1, make it exact.
+    Each table costs O(n) once: the last 16 built are kept, read-only, so
+    repeated calls at one (n, size) build none.  The last position needs
+    no table: C(x, 1) = x, so it holds rem + 1.
     """
     dtype = colex_dtype(n, size)
     out = np.empty((len(ranks), size), dtype=np.int64)
     rem = ranks
     for i in range(size, 1, -1):
         table = _colex_table(n, i, dtype)
-        a = np.searchsorted(table, rem, side="right") - 1
+        if i == 2 < size and dtype is np.int64:
+            root = np.sqrt(rem * 2.0 + 0.25)
+            root += 0.5
+            a = np.clip(root.astype(np.int64), 1, n - 1)
+            a -= table[a] > rem
+            up = np.minimum(a + 1, n - 1)
+            a = np.where(table[up] <= rem, up, a)
+        else:
+            a = np.searchsorted(table, rem, side="right") - 1
         out[:, i - 1] = a + 1
         rem = rem - table[a]
     if size:

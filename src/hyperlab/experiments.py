@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -31,9 +30,9 @@ from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_EDGE_BUDGET = 5_000_000
 # Largest trial count and top-m rank count: a run holds trials * m ranks in
-# memory, and MAX_TRIALS (250, 3, 2) trials take about 2 minutes on one
-# worker, at the 1.1-1.3 ms per trial of `run_experiment` measured on two
-# shared cores (Python 3.11, numpy 2.4).
+# memory, and MAX_TRIALS (250, 3, 2) trials take 70-80 s on one worker, at
+# the 0.7-0.8 ms per trial of `run_experiment` measured on two shared cores
+# (Python 3.11, numpy 2.4).
 MAX_TRIALS = 100_000
 MAX_M = 100
 # informational cutoff for "large" asymptotic proxies reported in summaries
@@ -161,6 +160,8 @@ def run_experiment(
     if workers <= 1:
         records = [_trial_task(task) for task in tasks]
     else:
+        # imported here: a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_task, tasks, chunksize=chunk))

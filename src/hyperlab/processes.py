@@ -107,14 +107,6 @@ def search_component(h: Hypergraph, j: int, start) -> SearchTrace:
     return SearchTrace(pops=pops, size=size, order=len(pops) - size)
 
 
-def format_trace(trace: SearchTrace) -> list[str]:
-    """Stable dump format: one `STEP <idx> POP <J|K> <label>` line per pop."""
-    return [
-        f"STEP {i} POP {kind} {','.join(str(v) for v in label)}"
-        for i, (kind, label) in enumerate(trace.pops)
-    ]
-
-
 def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, cap: int,
             spawn) -> TwoTypeTree:
     # The two-type process, breadth-first.  Each popped type-j vertex draws

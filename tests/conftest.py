@@ -1,6 +1,7 @@
 import pytest
 
 from hyperlab.experiments import ExperimentConfig, csv_lines, run_experiment
+from hyperlab.processes import SearchTrace
 
 # the fixed desk-scale configurations used by the acceptance suite
 ACCEPT_CONFIG = ExperimentConfig(
@@ -21,3 +22,11 @@ def accept_run():
 def graph_run():
     records, summary = run_experiment(GRAPH_CONFIG, workers=1)
     return records, summary, csv_lines(records)
+
+
+def format_trace(trace: SearchTrace) -> list[str]:
+    """Stable dump format: one `STEP <idx> POP <J|K> <label>` line per pop."""
+    return [
+        f"STEP {i} POP {kind} {','.join(str(v) for v in label)}"
+        for i, (kind, label) in enumerate(trace.pops)
+    ]

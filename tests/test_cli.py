@@ -483,7 +483,7 @@ class TestExperiment:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         monkeypatch.setenv("HYPERLAB_WORKERS", "500")
         assert run_cli(capsys, *self.ARGS)[0] == 0  # 5 trials
@@ -640,6 +640,20 @@ def test_trial_imports_neither_scipy_nor_networkx():
         "from hyperlab.experiments import run_trial\n"
         "run_trial(TheoryParams(250, 3, 2, 0.3), 1, 3)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_trial_imports_no_process_pool():
+    # a one-worker run leaves multiprocessing unloaded, and its import time with it
+    code = (
+        "import sys\n"
+        "from hyperlab.combinatorics import TheoryParams\n"
+        "from hyperlab.experiments import run_trial\n"
+        "run_trial(TheoryParams(250, 3, 2, 0.3), 1, 3)\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -119,6 +119,54 @@ def test_unrank_array_sizes_zero_and_one():
     assert unrank_array(np.array([0, 4, 2]), 1, 5).tolist() == [[1], [5], [3]]
 
 
+class TestUnrankExact:
+    """`unrank_array` against `unrank_subset`, where the int64 closed form at
+    position 2 runs and where it does not."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        yield
+        combinatorics._colex_table.cache_clear()  # a table at n = 3e6 holds 24 MB
+
+    def test_every_rank_small(self):
+        # every (n, size) with 2 <= size <= 8 and C(n, size) <= 20,000, from
+        # n = 2; a subset's colex rank does not depend on n, so each size's
+        # reference list is built once, at its largest n
+        for size in range(2, 9):
+            ns = [n for n in range(size, 201) if math.comb(n, size) <= 20_000]
+            expected = [unrank_subset(r, size, ns[-1]) for r in range(math.comb(ns[-1], size))]
+            for n in ns:
+                total = math.comb(n, size)
+                assert unrank_array(np.arange(total), size, n).tolist() == expected[:total]
+
+    @pytest.mark.parametrize("n, size", [(10**6, 3), (3 * 10**6, 2), (5 * 10**4, 4), (500, 7)])
+    def test_large_int64(self, n, size):
+        total = math.comb(n, size)
+        assert colex_dtype(n, size) is np.int64
+        rng = np.random.default_rng(n)
+        ranks = [0, 1, total - 1, total - 2, *rng.integers(0, total, 200).tolist()]
+        rows = unrank_array(np.array(ranks, np.int64), size, n)
+        assert rows.tolist() == [unrank_subset(r, size, n) for r in ranks]
+
+    @pytest.mark.parametrize("offset", [-0.999, 0.999])
+    def test_root_off_by_one_is_corrected(self, monkeypatch, offset):
+        # float roots are exact below n of about 2**26, so the checked steps
+        # are driven here by a root pushed almost one whole step either way
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: sqrt(x) + offset)
+        for n, size in ((3, 3), (4, 3), (40, 3), (12, 5), (24, 4)):
+            total = math.comb(n, size)
+            assert unrank_array(np.arange(total), size, n).tolist() == [
+                unrank_subset(r, size, n) for r in range(total)]
+
+    def test_out_of_range_ranks_index_nothing_outside_the_tables(self):
+        n, size = 10, 3
+        ranks = np.array([-2**62, -1, math.comb(n, size), 2**62 - 1])
+        with np.errstate(invalid="ignore"):  # the root of a negative rank is nan
+            rows = unrank_array(ranks, size, n)
+        assert rows.shape == (4, 3)
+
+
 class TestColexTables:
     """`unrank_array` builds each table of C(x, i) once and keeps a bounded
     number of them, read-only."""

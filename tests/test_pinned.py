@@ -18,8 +18,9 @@ import math
 from hyperlab.cli import main
 from hyperlab.combinatorics import TheoryParams, rank_subset
 from hyperlab.hypergraph import j_components, sample, write_hypergraph
-from hyperlab.processes import branching_with_rate, coupled_run, format_trace, search_component
+from hyperlab.processes import branching_with_rate, coupled_run, search_component
 from hyperlab.rng import trial_seed
+from tests.conftest import format_trace
 
 PARAMS = TheoryParams(40, 3, 2, 0.3)
 DIGESTS = {

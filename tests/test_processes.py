@@ -16,10 +16,10 @@ from hyperlab.processes import (
     TwoTypeTree,
     branching_with_rate,
     coupled_run,
-    format_trace,
     search_component,
 )
 from hyperlab.rng import make_generator, trial_seed
+from tests.conftest import format_trace
 
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
