@@ -11,8 +11,8 @@ probability-facing quantities (p, delta, lambda) are 64-bit floats.  The
 array forms of ranking and unranking (`rank_array`, `unrank_array`) stay
 exact too: they compute in int64 while every intermediate fits and in
 object arrays of Python ints beyond that (`colex_dtype`).  `rank_array`
-ranks any position-subsets of the rows of an array, whole rows or every
-j-subset of every edge, one column of the array at a time.
+ranks, in a dtype its caller gives, any position-subsets of the rows of an
+array, whole rows or every j-subset of every edge, one column at a time.
 """
 
 from __future__ import annotations
@@ -110,12 +110,13 @@ def _comb_array(x: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def rank_array(rows: np.ndarray, n: int, subsets) -> np.ndarray:
+def rank_array(rows: np.ndarray, subsets, dtype: type) -> np.ndarray:
     """The (m, len(subsets)) colex ranks of position-subsets of the rows of
     an (m, size) array of sorted subsets of [1, n]: entry (e, s) is
     `rank_subset` of row e's entries at the ascending column indices
     subsets[s], so a whole row's rank is `subsets=[tuple(range(size))]`.
-    The rows are not validated.
+    The rows are not validated.  Ranks are exact in a `dtype` holding
+    C(n, size) and each i * C(x, i), x < n, i <= size (`colex_dtype` picks one).
 
     With x = rows - 1, column c at position i adds C(x_c, i).  Each
     column's binomials are built upward, C(x_c, i + 1) = C(x_c, i) *
@@ -126,7 +127,6 @@ def rank_array(rows: np.ndarray, n: int, subsets) -> np.ndarray:
     for s, sub in enumerate(subsets):
         for i, c in enumerate(sub, start=1):
             holders.setdefault(c, {}).setdefault(i, []).append(s)
-    dtype = colex_dtype(n, max(map(len, subsets), default=0))
     x = rows.astype(dtype, copy=False) - 1
     out = np.zeros((len(rows), len(subsets)), dtype)
     # views: `+=` on one skips the write-back that `out[:, s] += ...` makes

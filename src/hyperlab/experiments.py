@@ -30,8 +30,8 @@ from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_EDGE_BUDGET = 5_000_000
 # Largest trial count and top-m rank count: a run holds trials * m ranks in
-# memory, and MAX_TRIALS (250, 3, 2) trials take 70-80 s on one worker, at
-# the 0.7-0.8 ms per trial of `run_experiment` measured on two shared cores
+# memory, and MAX_TRIALS (250, 3, 2) trials take 56-70 s on one worker, at
+# the 0.56-0.70 ms per trial of `run_experiment` measured on two shared cores
 # (Python 3.11, numpy 2.4).
 MAX_TRIALS = 100_000
 MAX_M = 100

@@ -12,20 +12,21 @@ from the top column down); tuples appear only at the boundary
 cumulative colex ranks, and unranks them all at once (`unrank_array`).
 One helper ranks every j-subset of every edge from the edge columns
 (`rank_array`, with no gathered copy of the subsets), packs each rank with
-the subset's row into one key, rank * count + row, and sorts the keys by
-value; being unique, they fall in the stable order of the ranks.  Equal
-neighbouring ranks link two edges through a shared j-set, and `_decompose`
-finds the components of that edge graph by hook-and-shortcut, reading a
-key's edge only at the links, and returns the sorted keys with their run
-starts; it keeps none of them, since its callers drop the hypergraph right
-after.  `jset_lookup` maps a j-set to its edges by bisecting the sorted keys,
-which it keeps on the hypergraph.  Over that map one traversal, `walk`,
-serves the component search, coupling and the wheel search, `find_wheel`,
-a depth-first walk from any edge or j-set of a component; `_witnesses` runs
-it from each non-hypertree component's first edge.  `j_components` adds its
-summaries and a j-set map from the keys' run starts on top; `components`
-prints from the columns, counting the isolated j-sets as C(n, j) minus the
-sum of the orders.
+the subset's row into one key, rank * count + row, in int32 where every key
+fits (int64, then object, beyond), and sorts the keys by value; being
+unique, they fall in the stable order of the ranks.  Equal neighbouring
+ranks link two edges through a shared j-set, and `_decompose` finds the
+components of that edge graph by hook-and-shortcut (`_least_connected`),
+reading a key's edge only at the links, and returns the sorted keys with
+their run starts; it keeps none of them, since its callers drop the
+hypergraph right after.  `jset_lookup` maps a j-set to its edges by
+bisecting the sorted keys, which it keeps on the hypergraph.  Over that
+map one traversal, `walk`, serves the component search, coupling and the
+wheel search, `find_wheel`, a depth-first walk from any edge or j-set of a
+component; `_witnesses` runs it from each non-hypertree component's first
+edge.  `j_components` adds its summaries and a j-set map from the keys'
+run starts on top; `components` prints from the columns, counting the
+isolated j-sets as C(n, j) minus the sum of the orders.
 
 A component of size s (edges) and order t (distinct j-sets) is a hypertree
 iff t = 1 + (C(k,j) - 1) * s; the unique obstruction is a wheel, a cyclic
@@ -289,12 +290,21 @@ def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     # count = len(keys) is the number of rows: row e*C(k,j) + i is edge e's
     # i-th j-subset in `combinations` order.  The keys are unique, so their
     # value order is the stable order of the ranks: key // count is the sorted
-    # rank and key % count the row it sat in.  int64 while every key fits,
-    # else object.
+    # rank and key % count the row it sat in.  Keys lie below span =
+    # C(n, j) * count: int32 for span < 2^31, int64 for span < 2^63 (if
+    # `colex_dtype` is), else object.  `rank_array`'s largest product,
+    # i * C(x, i) <= j * C(n, min(j, n // 2)) with i <= j and x < n, is below
+    # span for j <= n/2, as count >= C(k, j) > j, and is checked beyond.
     _check_subsets(h.n, h.k, j)
-    keys = rank_array(h.array, h.n, list(combinations(range(h.k), j)))
-    count = keys.size
-    if keys.dtype != object and math.comb(h.n, j) * count >= 2**63:
+    subsets = list(combinations(range(h.k), j))
+    count = len(h.array) * len(subsets)
+    dtype = colex_dtype(h.n, j)
+    if dtype is np.int64:  # else C(n, j) is too large to form cheaply
+        span = math.comb(h.n, j) * count
+        if max(span, math.comb(h.n, min(j, h.n // 2)) * j) < 2**31:
+            dtype = np.int32
+    keys = rank_array(h.array, subsets, dtype)
+    if dtype is np.int64 and span >= 2**63:
         keys = keys.astype(object)
     # in place on the flat view, where row e*C(k,j) + i is the flat index;
     # the count-long range of rows stays below `_decompose`'s later peak
@@ -311,8 +321,8 @@ def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]
     bisects the sorted keys rank * count + row of every edge's j-subsets
     (count = len(keys) rows, C(k,j) per edge) in place, for the run
     [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge.
-    The keys are sorted once per (h, j) and kept on `h`, 8 bytes per
-    j-subset (object keys, past int64, are bisected as a list).
+    The keys are sorted once per (h, j) and kept on `h`, 4 or 8 bytes per
+    j-subset (int32 or int64; object keys, past int64, bisect as a list).
     """
     if j not in h._jset_keys:
         h._jset_keys[j] = _sorted_keys(h, j)
@@ -322,7 +332,7 @@ def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]
 def _edges_of(array: np.ndarray, keys: np.ndarray, fan: int) -> Callable:
     # `edges_of` over the sorted keys rank * count + row of `array`'s
     # j-subsets, count = len(keys) rows and fan per edge: edge e is the slice
-    # [e*k, e*k + k) of the flat C-contiguous `array`.  Int64 keys are bisected
+    # [e*k, e*k + k) of the flat C-contiguous `array`.  Integer keys are bisected
     # through a memoryview, whose items are Python ints; object keys as a list.
     count, k = len(keys), array.shape[1]
     keys = keys.tolist() if keys.dtype == object else memoryview(keys)
@@ -436,18 +446,36 @@ def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     # whose links join edges u[i] and v[i], by hooking and shortcutting:
     # every root hooks onto the least root it shares a link with, then
     # pointer jumping flattens the trees.  Roots only ever hook onto smaller
-    # roots, so the last root standing is the component's least edge.
+    # roots, so the last root standing is the component's least edge.  The
+    # first round hooks each v onto its least u directly, as every node is
+    # its own root and `_decompose` gives u < v (other links wait a round).
     parent = np.arange(count)
+    np.minimum.at(parent, v, u)
     while True:
+        parent = _flatten(parent)
         pu, pv = parent[u], parent[v]
         if (pu == pv).all():
             return parent
         np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
-        while True:
-            grand = parent[parent]
-            if (grand == parent).all():
-                break
-            parent = grand
+
+
+def _flatten(parent: np.ndarray) -> np.ndarray:
+    # Every node's root in the forest of `parent`, which it may overwrite, by
+    # pointer jumping over all nodes while over a quarter of them move, then
+    # over the movers alone until each one's parent is a root.
+    grand = parent[parent]
+    moved = np.flatnonzero(grand != parent)
+    while 4 * len(moved) > len(parent):
+        parent = grand
+        grand = parent[parent]
+        moved = np.flatnonzero(grand != parent)
+    up = grand[moved]
+    while len(moved):
+        parent[moved] = up
+        grand = parent[up]
+        still = grand != up
+        moved, up = moved[still], grand[still]
+    return parent
 
 
 def find_wheel(edges_of: Callable, j: int, start: tuple) -> Optional[Wheel]:

@@ -92,15 +92,15 @@ def test_array_forms_match_scalar_ranking(n, data):
     size = data.draw(st.integers(1, n))
     total = math.comb(n, size)
     ranks = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=20))
-    arr = np.array(ranks, dtype=colex_dtype(n, size))
-    rows = unrank_array(arr, size, n)
+    dtype = colex_dtype(n, size)
+    rows = unrank_array(np.array(ranks, dtype=dtype), size, n)
     assert rows.tolist() == [unrank_subset(r, size, n) for r in ranks]
-    assert rank_array(rows, n, [tuple(range(size))]).tolist() == [[r] for r in ranks]
+    assert rank_array(rows, [tuple(range(size))], dtype).tolist() == [[r] for r in ranks]
     # position-subsets of every size up to the row's, in any order and repeated:
     # each (column, position) pair the ranker builds is checked against rank_subset
     positions = st.lists(st.integers(0, size - 1), unique=True, max_size=size)
     subsets = data.draw(st.lists(positions.map(lambda ps: tuple(sorted(ps))), max_size=6))
-    assert rank_array(rows, n, subsets).tolist() == [
+    assert rank_array(rows, subsets, dtype).tolist() == [
         [rank_subset(tuple(row[c] for c in sub), n) for sub in subsets] for row in rows.tolist()]
 
 
@@ -111,7 +111,7 @@ def test_unrank_array_object_ranks_roundtrip():
     ranks = [0, 1, 2**63, total // 3, total - 1]
     rows = unrank_array(np.array(ranks, dtype=object), size, n)
     assert rows.tolist() == [unrank_subset(r, size, n) for r in ranks]
-    assert rank_array(rows, n, [tuple(range(size))]).ravel().tolist() == ranks
+    assert rank_array(rows, [tuple(range(size))], object).ravel().tolist() == ranks
 
 
 def test_unrank_array_sizes_zero_and_one():

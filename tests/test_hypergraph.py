@@ -1,5 +1,6 @@
 import math
 import pickle
+import signal
 import tracemalloc
 from collections import deque
 from itertools import combinations
@@ -528,9 +529,8 @@ class TestSortedKeys:
             runs.setdefault(key // count, set()).add(edge_cid[key % count // fan])
         assert all(len(cids) == 1 for cids in runs.values())
 
-    @pytest.mark.parametrize("n, dtype", [(40, np.int64), (10**10, object)])
-    @pytest.mark.parametrize("k, j", [(3, 2), (4, 2), (4, 3), (5, 3)])
-    def test_keys_pack_each_rank_with_its_flat_row(self, n, dtype, k, j):
+    @staticmethod
+    def assert_packs_flat_rows(n, k, j, dtype):
         # row e*C(k,j) + i is edge e's i-th j-subset in `combinations` order
         edges = [tuple(range(1, k + 1)), tuple(range(2, k + 2)),
                  tuple(range(1, k)) + (n - 1,), (1,) + tuple(range(n - k + 2, n + 1))]
@@ -541,6 +541,29 @@ class TestSortedKeys:
         assert keys.tolist() == sorted(
             rank_subset(sub, n) * count + e * fan + i
             for e, edge in enumerate(h.edges) for i, sub in enumerate(combinations(edge, j)))
+
+    @pytest.mark.parametrize("n, dtype", [(40, np.int32), (10**5, np.int64), (10**10, object)])
+    @pytest.mark.parametrize("k, j", [(3, 2), (4, 2), (4, 3), (5, 3)])
+    def test_keys_pack_each_rank_with_its_flat_row(self, n, dtype, k, j):
+        self.assert_packs_flat_rows(n, k, j, dtype)
+
+    @pytest.mark.parametrize("k, j", [(3, 2), (4, 3)])
+    def test_keys_widen_to_int64_where_the_span_passes_int32(self, k, j):
+        # span = C(n, j) * count, with count = 4 * C(k, j) rows of four edges;
+        # the last edge holds vertex n
+        count, n = 4 * math.comb(k, j), k + 2
+        while math.comb(n + 1, j) * count < 2**31:
+            n += 1
+        self.assert_packs_flat_rows(n, k, j, np.int32)
+        self.assert_packs_flat_rows(n + 1, k, j, np.int64)
+
+    def test_int64_where_a_ranking_product_passes_int32(self):
+        # span = C(40, 39) * 40 fits int32, but ranking column 39 builds
+        # C(39, i) up to i = 39, through C(39, 19) > 2^31
+        n = 40
+        h = Hypergraph(n, n, [tuple(range(1, n + 1))])
+        assert hypergraph._sorted_keys(h, n - 1).dtype == np.int64
+        self.assert_matches_stable_argsort(h, n - 1)
 
     def test_object_dtype_ranks(self):
         n = 10**10
@@ -564,6 +587,107 @@ class TestSortedKeys:
         assert jset_lookup(h, 2)((1, 2)) == [(1, 2, 3), (1, 2, n)]
         assert jset_lookup(h, 2)((2, n)) == [(1, 2, n)]
         assert jset_lookup(h, 2)((3, n)) == []
+
+
+def roots_by_following(parent):
+    """Each node's root in a forest of parent pointers: the `_flatten` oracle."""
+    roots = []
+    for x in range(len(parent)):
+        while parent[x] != x:
+            x = parent[x]
+        roots.append(x)
+    return roots
+
+
+def least_by_union_find(u, v, count):
+    """The least node of each node's component, by a plain union-find whose
+    root is always its tree's least node: the `_least_connected` oracle."""
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in zip(u, v):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(count)]
+
+
+def chain_links(nodes):
+    return list(zip(nodes[:-1], nodes[1:]))
+
+
+_RNG = np.random.default_rng(17)
+FORESTS = {
+    # parent[i] = i - 1: 2000 deep, so the whole array jumps
+    "chain": [0] + list(range(1999)),
+    # 300 deep among 1700 roots: under a quarter moves, so only the movers jump
+    "short_chain": [0] + list(range(299)) + list(range(300, 2000)),
+    # a random recursive tree, each parent drawn below its node
+    "recursive": [0] + [int(_RNG.integers(0, x)) for x in range(1, 2000)],
+    "empty": [],
+    "one": [0],
+}
+LINK_SETS = {
+    # increasing chains, the deepest trees: one on every node, one on 300 of
+    # 2000 nodes (trees 300 deep for the mover-only jumps) and two interleaved
+    "chain": (chain_links(range(2000)), 2000),
+    "short_chain": (chain_links(range(0, 900, 3)), 2000),
+    "chains": (chain_links(range(0, 3000, 2)) + chain_links(range(1, 3000, 2)), 3000),
+    # a giant on 60% of the nodes, with isolated nodes around it
+    "giant": (list(zip(_RNG.integers(0, 1200, 3000).tolist(),
+                       _RNG.integers(0, 1200, 3000).tolist())), 2000),
+    # many small trees on under a quarter of the nodes
+    "small_trees": ([(a + d, a + d + 1) for a in range(0, 4000, 40) for d in range(3)]
+                    + [(a, a + 5) for a in range(7, 4000, 40)]
+                    + list(zip(_RNG.integers(0, 4000, 200).tolist(),
+                               _RNG.integers(0, 4000, 200).tolist())), 4000),
+}
+
+
+class TestLeastConnected:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # jumps that stop short of the roots can leave the hooking loop
+        # spinning: fail such a run instead of hanging in it
+        def expire(signum, frame):
+            raise TimeoutError("the union step ran past its 20 s deadline")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("forest", sorted(FORESTS))
+    def test_flatten_matches_following_pointers(self, forest):
+        parent = FORESTS[forest]
+        got = hypergraph._flatten(np.array(parent, dtype=np.intp))
+        assert got.tolist() == roots_by_following(parent)
+
+    @staticmethod
+    def assert_matches_union_find(links, count):
+        u = np.array([a for a, b in links], dtype=np.intp)
+        v = np.array([b for a, b in links], dtype=np.intp)
+        got = hypergraph._least_connected(u, v, count)
+        assert got.tolist() == least_by_union_find(u.tolist(), v.tolist(), count)
+        return got
+
+    @pytest.mark.parametrize("links", sorted(LINK_SETS))
+    def test_matches_union_find(self, links):
+        links, count = LINK_SETS[links]
+        # as `_decompose` gives them, each link's smaller edge first
+        ordered = sorted({(min(a, b), max(a, b)) for a, b in links if a != b})
+        self.assert_matches_union_find(ordered, count)
+        # with duplicates, and with each link's larger edge first
+        self.assert_matches_union_find(ordered + ordered[::3], count)
+        self.assert_matches_union_find([(b, a) for a, b in ordered], count)
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_no_links(self, count):
+        assert self.assert_matches_union_find([], count).tolist() == list(range(count))
 
 
 class TestDecompositionMemory:
@@ -653,7 +777,8 @@ class TestJsetLookup:
         assert back == h and repr(back) == repr(h)
         self.assert_matches_scan(back, 2, combinations(range(1, 31), 2))
 
-    @pytest.mark.parametrize("n", [30, 2**64, 2**31 - 1])  # int64 keys, object vertices, object keys
+    # int32 keys, int64 keys, object vertices, object keys
+    @pytest.mark.parametrize("n", [30, 10**5, 2**64, 2**31 - 1])
     def test_vertices_are_python_ints(self, n):
         # (1,2,3), (1,2,n) and (1,3,n) close a wheel through (1,2), (1,n) and (1,3)
         h = Hypergraph(n, 3, [(1, 2, 3), (1, 2, n), (1, 3, n)])
