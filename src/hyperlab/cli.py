@@ -311,7 +311,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    entry()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -41,6 +42,12 @@ def check_domain(n: int, k: int, j: int | None = None) -> None:
     if not (2 <= k <= n and (j is None or 1 <= j <= k - 1)):
         got = f"n={show_int(n)}, k={show_int(k)}" + ("" if j is None else f", j={show_int(j)}")
         raise ValidationError(f"need n >= k >= 2 and 1 <= j <= k-1, got {got}")
+
+
+def subset_masks(n: int, vertices: int, r: int) -> list[int]:
+    """The r-subsets of the vertices in [n] of a bitmask, as bitmasks: bit b
+    stands for vertex b + 1, and a negative mask, ~S, for [n] minus S."""
+    return [sum(c) for c in combinations([1 << b for b in range(n) if vertices >> b & 1], r)]
 
 
 def _validate_subset(s, n: int) -> None:

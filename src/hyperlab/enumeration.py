@@ -16,7 +16,8 @@ labelled count is B_s = C(n, j) * C(n-j, k-j)^s * F_s.  Both are exact
 rationals.  B_s weights sibling-label collisions by symmetry, so it
 exceeds the plain count of distinct process instances, which
 `brute_force_Bs` returns, by exactly prod_{i<s} (1 - i/(N(1 + c0 s)))^(-1)
-with N = C(n-j, k-j).
+with N = C(n-j, k-j); its count of instances with all labels distinct is
+(1 + c0 s) times the number of s-edge j-hypertrees on [n], one per root.
 
 Series and census arithmetic is exact; the probability-weighted bound
 evaluators take log B_s from the one-power form, in floats, because values
@@ -28,12 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import TheoryParams, check_domain
+from .combinatorics import TheoryParams, check_domain, subset_masks
 from .errors import ResourceLimitError, ValidationError
 
 # Largest s of `laplace_sum_check`, whose two float arrays peak at 16 bytes per term
@@ -155,9 +157,12 @@ def enum_report(params: TheoryParams, s: int, exp_bracket: tuple[Fraction, Fract
 def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
     """Exhaustively count branching-process-reachable rooted labelled trees.
 
-    Returns (total, hypertree_only) over trees with exactly s type-k
-    vertices: sibling k-labels are distinct sets, labels may repeat across
-    generations; hypertree_only keeps trees whose labels are all distinct.
+    Returns (total, distinct) over trees with exactly s type-k vertices:
+    sibling k-labels are distinct sets, labels may repeat across
+    generations; distinct keeps trees whose labels are all distinct.
+    Grows the trees rooted at {1..j} over vertex bitmasks, where j- and
+    k-labels differ in bit count; Sym([n]) maps them one to one onto those
+    at any root, so both counts are C(n, j) times theirs.
     Guarded to C(n, k) <= 50 and s <= 4.
     """
     check_domain(n, k, j)
@@ -167,47 +172,27 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
         raise ResourceLimitError(
             f"brute-force guard: need C(n,k) <= 50 and s <= 4, got C={math.comb(n, k)}, s={s}"
         )
-    ksets = [tuple(c) for c in combinations(range(1, n + 1), k)]
-    total = 0
-    distinct = 0
+    masks = cache(partial(subset_masks, n))  # for this call alone
 
-    def recurse(pending, used, jseen, kseen, ok):
-        nonlocal total, distinct
-        if used == s:
-            total += 1
-            distinct += ok
-            return
+    def grow(pending: tuple[int, ...], labels: tuple[int, ...], budget: int) -> tuple[int, int]:
+        # (total, distinct) over the trees going on from these pending j-sets
+        if not budget:
+            return 1, len(set(labels)) == len(labels)
         if not pending:
-            return
-        head = pending[0]
-        rest = pending[1:]
-        head_set = set(head)
-        candidates = [kset for kset in ksets if head_set <= set(kset)]
-        budget = s - used
-        for c in range(0, budget + 1):
-            for chosen in combinations(candidates, c):
-                new_pending = list(rest)
-                new_jseen, new_kseen, new_ok = jseen, kseen, ok
-                for kset in chosen:
-                    if new_ok:
-                        if kset in new_kseen:
-                            new_ok = False
-                        else:
-                            new_kseen = new_kseen | {kset}
-                    for sub in combinations(kset, j):
-                        if sub == head:
-                            continue
-                        new_pending.append(sub)
-                        if new_ok:
-                            if sub in new_jseen:
-                                new_ok = False
-                            else:
-                                new_jseen = new_jseen | {sub}
-                recurse(tuple(new_pending), used + c, new_jseen, new_kseen, new_ok)
+            return 0, 0
+        head, rest = pending[0], pending[1:]
+        above = [head | other for other in masks(~head, k - j)]
+        total = distinct = 0
+        for c in range(budget + 1):
+            for chosen in combinations(above, c):
+                subs = tuple(sub for kset in chosen for sub in masks(kset, j) if sub != head)
+                t, d = grow(rest + subs, labels + chosen + subs, budget - c)
+                total, distinct = total + t, distinct + d
+        return total, distinct
 
-    for root in combinations(range(1, n + 1), j):
-        recurse((root,), 0, frozenset([root]), frozenset(), True)
-    return total, distinct
+    root = (1 << j) - 1
+    total, distinct = grow((root,), (root,), s)
+    return math.comb(n, j) * total, math.comb(n, j) * distinct
 
 
 def wheel_constant(k: int, j: int) -> Fraction:

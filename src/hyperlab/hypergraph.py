@@ -40,14 +40,14 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .combinatorics import (check_domain, colex_dtype, rank_array, rank_subset, show_int,
-                            unrank_array)
+                            subset_masks, unrank_array)
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -109,10 +109,7 @@ class Hypergraph:
 @dataclass(frozen=True)
 class Wheel:
     """A cyclic pair of sequences: distinct edges K_1..K_l and distinct
-    j-sets J_1..J_l with jsets[i] contained in edges[i] & edges[i+1 mod l].
-
-    Wheels differing only by rotation or order reversal compare equal.
-    """
+    j-sets J_1..J_l with jsets[i] contained in edges[i] & edges[i+1 mod l]."""
 
     edges: tuple[tuple[int, ...], ...]
     jsets: tuple[tuple[int, ...], ...]
@@ -131,20 +128,6 @@ class Wheel:
             a, b = set(self.edges[i]), set(self.edges[(i + 1) % ell])
             if not set(self.jsets[i]) <= (a & b):
                 raise ValidationError(f"j-set {self.jsets[i]} not in consecutive intersection")
-
-    def canonical(self) -> tuple[tuple[int, ...], ...]:
-        """Lexicographically least interleaved listing over rotations/reversals."""
-        seq = [x for pair in zip(self.edges, self.jsets, strict=True) for x in pair]
-        rev = seq[-2::-1] + seq[-1:]  # reversed, realigned so a K occupies position 0
-        return min(tuple(base[t:] + base[:t]) for base in (seq, rev) for t in range(0, len(seq), 2))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Wheel):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
 
 
 @dataclass(frozen=True)
@@ -525,10 +508,7 @@ def brute_force_wheel_census(n: int, k: int, j: int, ell: int) -> int:
     if n > 10 or ell > 4:
         raise ResourceLimitError(f"census guard: need n <= 10 and ell <= 4, got n={n}, ell={ell}")
 
-    @cache
-    def masks(vertices: int, r: int) -> list[int]:
-        # the r-subsets of a vertex bitmask, as bitmasks
-        return [sum(c) for c in combinations([1 << b for b in range(n) if vertices >> b & 1], r)]
+    masks = cache(partial(subset_masks, n))  # for this call alone
 
     def extend(edges: list[int], jsets: list[int]) -> int:
         # rooted sequences going on from edges[-1] through jsets[-1]

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from hyperlab import cli, experiments, hypergraph
 from hyperlab.cli import main
-from hyperlab.hypergraph import j_components, read_hypergraph, sample, write_hypergraph
+from hyperlab.combinatorics import TheoryParams, unrank_subset
+from hyperlab.enumeration import (brute_force_Bs, exp_reciprocal_bounds, expected_Rs_upper, f_s,
+                                  laplace_sum_check, tj_series_fixed_point)
+from hyperlab.errors import ResourceLimitError, ValidationError
+from hyperlab.experiments import check_edge_budget
+from hyperlab.hypergraph import Wheel, j_components, read_hypergraph, sample, write_hypergraph
+from hyperlab.processes import branching_with_rate
 from hyperlab.rng import trial_seed
 
 
@@ -630,6 +636,65 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("5 3 10\n")
+
+
+def test_module_entrypoint_refusal_prints_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "hyperlab", "bounds", "--which", "wheel"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+# Public refusals that no other test reaches: the error raised, a pattern
+# of its message, and the API call; or exit code 1, a pattern of the one
+# `error:` line, and the (config text, environment) of an `experiment --config` run.
+RUN_CONFIG = "n = 40\nk = 3\nj = 2\nepsilon = 0.3\ntrials = 1\n"
+PUBLIC_REFUSALS = {
+    "tj_series_s_max_0": (ValidationError, "s_max", lambda: tj_series_fixed_point(2, 0)),
+    "tj_series_c0_0": (ValidationError, "c0", lambda: tj_series_fixed_point(0, 3)),
+    "f_s_s_0": (ValidationError, "s must", lambda: f_s(2, 0)),
+    "f_s_c0_0": (ValidationError, "c0", lambda: f_s(0, 2)),
+    "exp_bounds_c0_0": (ValidationError, "c0 >= 1", lambda: exp_reciprocal_bounds(0, 5)),
+    "exp_bounds_terms_0": (ValidationError, "terms >= 1", lambda: exp_reciprocal_bounds(2, 0)),
+    "brute_force_Bs_s_0": (ValidationError, "s must", lambda: brute_force_Bs(4, 2, 1, 0)),
+    "laplace_a_0": (ValidationError, "a must", lambda: laplace_sum_check(0, 10**4)),
+    "Rs_s_0": (ValidationError, "s must",
+               lambda: expected_Rs_upper(TheoryParams(10, 3, 2, 0.3), 0)),
+    "branching_p_above_1": (ValidationError, "p must",
+                            lambda: branching_with_rate(6, 3, 2, 1.5, (1, 2), 0)),
+    "branching_p_below_0": (ValidationError, "p must",
+                            lambda: branching_with_rate(6, 3, 2, -0.1, (1, 2), 0)),
+    "unrank_negative_size": (ValidationError, "size", lambda: unrank_subset(0, -1, 5)),
+    "wheel_one_edge": (ValidationError, ">= 2 edges",
+                       lambda: Wheel(edges=((1, 2, 3),), jsets=((1, 2),)).validate()),
+    "wheel_repeated_edge": (ValidationError, "distinct", lambda: Wheel(
+        edges=((1, 2, 3), (1, 2, 3)), jsets=((1, 2), (2, 3))).validate()),
+    "edge_budget_past_float_range": (ResourceLimitError, "inf",
+                                     lambda: check_edge_budget(10**6, 1000, 1e-9)),
+    "config_non_integer_value": (1, "bad config value for trials",
+                                 (RUN_CONFIG.replace("trials = 1", "trials = 1.5"), {})),
+    "workers_env_not_integer": (1, "HYPERLAB_WORKERS", (RUN_CONFIG, {"HYPERLAB_WORKERS": "x"})),
+    "config_line_without_key": (1, "'key = value'", (RUN_CONFIG + "= 3\n", {})),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_REFUSALS)
+def test_public_refusals(name, capsys, monkeypatch, tmp_path):
+    expected, pattern, case = PUBLIC_REFUSALS[name]
+    if expected != 1:
+        with pytest.raises(expected, match=pattern):
+            case()
+        return
+    text, env = case
+    monkeypatch.setattr(experiments, "run_trial", TestExperiment.no_trial)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and pattern in err
 
 
 def test_trial_imports_neither_scipy_nor_networkx():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from hyperlab.enumeration import (
     wheel_constant,
 )
 from hyperlab.errors import ResourceLimitError, ValidationError
-from hyperlab.hypergraph import brute_force_wheel_census
+from hyperlab.hypergraph import Hypergraph, brute_force_wheel_census, j_components
 
 
 def _mul(a, b):
@@ -215,6 +216,23 @@ class TestBruteForceBs:
         assert total == Fraction(math.comb(n, j) * math.comb(m, s), 1 + c0 * s)
         excess = math.prod(Fraction(m, m - i) for i in range(s))
         assert b_s(TheoryParams(n, k, j, 0.3), s) == total * excess
+
+    @pytest.mark.parametrize("n, k, j, s", [(6, 2, 1, 4), (9, 2, 1, 3), (6, 3, 1, 2), (7, 3, 1, 2),
+                                            (5, 3, 2, 4), (6, 3, 2, 3), (6, 4, 2, 2), (6, 4, 2, 3),
+                                            (6, 4, 3, 3)])
+    def test_distinct_counts_rooted_hypertrees(self, n, k, j, s):
+        """distinct = (1 + c0 s) H_s, with H_s the s-edge hypergraphs on [n]
+        that `j_components` finds to be one hypertree component: an instance
+        with all labels distinct is such a hypertree rooted at one of its
+        1 + c0 s j-sets.  This is the bridge from the census to the exact
+        hypertree first moments (ROADMAP items 11 and 14)."""
+        ksets = sorted(combinations(range(1, n + 1), k), key=lambda e: e[::-1])  # colex order
+        hypertrees = 0
+        for edges in combinations(ksets, s):
+            comps, _ = j_components(Hypergraph(n, k, edges), j)
+            hypertrees += len(comps) == 1 and comps[0].is_hypertree
+        c0 = math.comb(k, j) - 1
+        assert brute_force_Bs(n, k, j, s)[1] == (1 + c0 * s) * hypertrees
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
