@@ -72,7 +72,8 @@ def rank_subset(s, n: int) -> int:
 
 
 def unrank_subset(rank: int, size: int, n: int) -> list[int]:
-    """Inverse of :func:`rank_subset`: the subset of [1, n] at colex `rank`."""
+    """Inverse of :func:`rank_subset`: the subset of [1, n] at colex `rank`,
+    binary-searched per position but the last, rem + 1 as C(a-1, 1) = a-1."""
     if size < 0 or n < 0:
         raise ValidationError(f"unrank_subset needs size, n >= 0, got ({size}, {n})")
     total = math.comb(n, size)
@@ -81,7 +82,7 @@ def unrank_subset(rank: int, size: int, n: int) -> list[int]:
     out = [0] * size
     rem = rank
     hi = n
-    for i in range(size, 0, -1):
+    for i in range(size, 1, -1):
         # largest a in [i, hi] with C(a-1, i) <= rem
         lo = i
         while lo < hi:
@@ -93,6 +94,8 @@ def unrank_subset(rank: int, size: int, n: int) -> list[int]:
         out[i - 1] = lo
         rem -= math.comb(lo - 1, i)
         hi = lo - 1
+    if size:
+        out[0] = rem + 1
     return out
 
 

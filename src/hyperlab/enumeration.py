@@ -163,7 +163,8 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
     Grows the trees rooted at {1..j} over vertex bitmasks, where j- and
     k-labels differ in bit count; Sym([n]) maps them one to one onto those
     at any root, so both counts are C(n, j) times theirs.
-    Guarded to C(n, k) <= 50 and s <= 4.
+    Guarded to C(n, k) <= 50, s <= 4 and at most 10^6 rooted instances,
+    C(N m, s) / m with N = C(n-j, k-j), m = 1 + c0 s, about 2 us each.
     """
     check_domain(n, k, j)
     if s < 1:
@@ -172,6 +173,9 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
         raise ResourceLimitError(
             f"brute-force guard: need C(n,k) <= 50 and s <= 4, got C={math.comb(n, k)}, s={s}"
         )
+    m = 1 + (math.comb(k, j) - 1) * s
+    if (rooted := math.comb(math.comb(n - j, k - j) * m, s) // m) > 10**6:
+        raise ResourceLimitError(f"brute-force guard: need at most 10^6 rooted instances, got {rooted}")
     masks = cache(partial(subset_masks, n))  # for this call alone
 
     def grow(pending: tuple[int, ...], labels: tuple[int, ...], budget: int) -> tuple[int, int]:

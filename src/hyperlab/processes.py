@@ -16,7 +16,7 @@ indicator, repeat queries by the branching process draw fresh Bernoulli(p)
 outcomes.  Every k-set the search discovers is in the hypergraph, so its
 first query created a branching vertex with that label; distinct labels
 give distinct vertices, hence branching size >= component size on every
-run, not merely in expectation.  A run caches the lookup for its length, so
+run, not merely in expectation.  A run memoizes the lookup for its length, so
 the walk that sizes the component rereads what the first queries fetched.
 
 `branching_with_rate` and `coupled_run` grow their trees in one
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 from typing import Optional
 
@@ -183,17 +182,20 @@ def coupled_run(
     truncated at `cap`, which cannot shrink it below the cap).
 
     A k-set has been queried before iff one of its j-subsets was already
-    expanded, so the first-query bookkeeping tracks expanded labels only.
-    The lookup is cached for this call alone, one edge list per distinct
-    popped label (memory of the order of the tree's size), so each j-set is
-    looked up once; the walk looks up only j-sets a truncated run never reached.
+    expanded, so the first-query bookkeeping tracks expanded labels only: a
+    plain dict memo, kept for this call alone, maps each to its edge list
+    (memory of the order of the tree's size), so each j-set is looked up
+    once; the walk looks up only j-sets a truncated run never reached.
     """
     j = params.j
     start = _validate_jset(start, h.n, j)
     if (h.n, h.k) != (params.n, params.k):
         raise ValidationError("hypergraph and params disagree on (n, k)")
-    edges_of = cache(jset_lookup(h, j))
-    expanded: set[tuple[int, ...]] = set()
+    lookup = jset_lookup(h, j)
+    expanded: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def edges_of(jset: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return expanded[jset] if jset in expanded else lookup(jset)
 
     def queried_before(klabel: tuple[int, ...]) -> bool:
         return any(sub in expanded for sub in combinations(klabel, j))
@@ -203,9 +205,10 @@ def coupled_run(
         # spawn, and absent k-sets do not, whatever their draw.  A repeat query
         # keeps its Bernoulli(p) hit.  Both lists hold k-sets containing
         # jlabel, whose colex order is that of the reversed tuples.
-        fresh = [e for e in edges_of(jlabel) if not queried_before(e)]
+        edges = edges_of(jlabel)
+        fresh = [e for e in edges if not queried_before(e)]
         repeats = [e for e in hits if queried_before(e)]
-        expanded.add(jlabel)
+        expanded[jlabel] = edges
         return sorted(fresh + repeats, key=lambda e: e[::-1])
 
     tree = _branch(params.n, params.k, j, params.p, start, seed, cap, first_query_rule)

@@ -711,6 +711,15 @@ def test_trial_imports_neither_scipy_nor_networkx():
     assert proc.stdout == "[]\n"
 
 
+def test_package_import_leaves_numpy_random_unloaded():
+    # numpy.random slows the package's import by half or more; make_generator
+    # loads it on first use, so an import alone must not
+    code = "import sys\nimport hyperlab\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_trial_imports_no_process_pool():
     # a one-worker run leaves multiprocessing unloaded, and its import time with it
     code = (

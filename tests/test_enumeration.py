@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -239,6 +240,15 @@ class TestBruteForceBs:
             brute_force_Bs(12, 3, 2, 2)  # C(12,3) = 220 > 50
         with pytest.raises(ResourceLimitError):
             brute_force_Bs(4, 2, 1, 5)
+
+    @pytest.mark.parametrize("n, k, j, s", [(7, 5, 2, 4), (7, 4, 1, 4), (7, 5, 1, 4)])
+    def test_guard_bounds_the_work(self, n, k, j, s):
+        # inside C(n,k) <= 50 and s <= 4, yet 10.1M to 20.8M rooted instances,
+        # 22 s to over 40 s of work; refused before any of it
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="rooted instances"):
+            brute_force_Bs(n, k, j, s)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestWheelBound:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from collections import Counter, deque
 from itertools import combinations
@@ -378,3 +379,36 @@ class TestCoupling:
             assert coupled_run(h, params, start, i) == coupled_run(fresh, params, start, i)
             assert format_trace(search_component(h, 2, start)) == format_trace(
                 search_component(Hypergraph(h.n, h.k, h.array), 2, start))
+
+
+class TestStreamIdentity:
+    # make_generator keys Philox through its own seed sequence, which skips
+    # the OS entropy that Philox(key=...) draws and discards; the state, and
+    # so every stream built on it, must be that of Philox(key=...)
+    SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_state_and_stream_match_keyed_philox(self, seed):
+        ours = make_generator(seed)
+        keyed = np.random.Philox(key=seed & (2**64 - 1))
+        state, expected = ours.bit_generator.state, keyed.state
+        assert state.keys() == expected.keys()
+        for name in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert state[name] == expected[name]
+        np.testing.assert_array_equal(state["buffer"], expected["buffer"])
+        for name in ("counter", "key"):
+            np.testing.assert_array_equal(state["state"][name], expected["state"][name])
+        np.testing.assert_array_equal(ours.random(1000), np.random.Generator(keyed).random(1000))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_refuses_other_requests(self, seed):
+        # a numpy that asked Philox's seed sequence for anything but its 2-word
+        # key would key differently, so the request fails instead
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            make_generator(seed).bit_generator.seed_seq.generate_state(4, np.uint32)
+
+    def test_generator_pickles_mid_stream(self):
+        rng = make_generator(2**64 - 1)
+        rng.random(3)
+        back = pickle.loads(pickle.dumps(rng))
+        np.testing.assert_array_equal(back.random(100), rng.random(100))
