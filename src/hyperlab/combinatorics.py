@@ -44,6 +44,21 @@ def check_domain(n: int, k: int, j: int | None = None) -> None:
         raise ValidationError(f"need n >= k >= 2 and 1 <= j <= k-1, got {got}")
 
 
+MAX_FLOAT_INT = 2**1024 - 2**970 - 1  # the largest int float() converts
+
+
+def comb_at_most(m: int, r: int, cap: int) -> int | None:
+    """C(m, r) if it is at most `cap` >= 0, else None.  For t = min(r, m-r) >= 1 and
+    e = m.bit_length() - t.bit_length() - 1, m/t is at least 2, above 2^e and below 2^(e+2),
+    so C(m, r) >= (m/t)^t >= 2^(t*max(e, 1)) > cap once t*max(e, 1) >= b = cap.bit_length(),
+    and is not formed.  Any other is <= (2.72m/t)^t < 2^(t*e + 3.45t) < 2^(4.45b) (t*e, t < b)."""
+    t, b = min(r, m - r), cap.bit_length()
+    if t > 0 and t * max(m.bit_length() - t.bit_length() - 1, 1) >= b:
+        return None
+    c = math.comb(m, r)
+    return c if c <= cap else None
+
+
 def subset_masks(n: int, vertices: int, r: int) -> list[int]:
     """The r-subsets of the vertices in [n] of a bitmask, as bitmasks: bit b
     stands for vertex b + 1, and a negative mask, ~S, for [n] minus S."""
@@ -107,8 +122,8 @@ def colex_dtype(n: int, size: int) -> type:
     `_comb_array` and `rank_array` cannot overflow; object (exact Python
     ints) beyond that.
     """
-    r = min(size, n // 2)  # C(n, r) >= 2^r, so r >= 62 needs no exact C(n, r)
-    return np.int64 if r < 62 and math.comb(n, r) * size < 2**62 else object
+    fits = comb_at_most(n, min(size, n // 2), (2**62 - 1) // max(size, 1))
+    return object if fits is None else np.int64
 
 
 def _comb_array(x: np.ndarray, r: int) -> np.ndarray:
@@ -204,6 +219,7 @@ class TheoryParams:
     p      = (1 - epsilon) * p0          (subcritical edge probability)
     delta  = -epsilon - log(1 - epsilon) (tail decay rate of large components)
     lam    = epsilon^3 * C(n, j)         (scale whose log sets the top size)
+    supersets_per_jset = C(n-j, k-j)     (k-sets containing a fixed j-set)
     """
 
     n: int
@@ -215,32 +231,21 @@ class TheoryParams:
     p: float = field(init=False)
     delta: float = field(init=False)
     lam: float = field(init=False)
+    supersets_per_jset: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_domain(self.n, self.k, self.j)
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        pairs = ((self.k, self.j), (self.n - self.j, self.k - self.j), (self.n, self.j))
-        try:
-            # C(m, r) >= 2^min(r, m-r), so from 1024 on it passes the float
-            # range for certain and its costly exact value is never formed
-            if max(min(r, m - r) for m, r in pairs) >= 1024:
-                raise OverflowError
-            c0 = math.comb(self.k, self.j) - 1
-            p0 = 1.0 / (c0 * math.comb(self.n - self.j, self.k - self.j))
-            lam = self.epsilon**3 * math.comb(self.n, self.j)
-        except OverflowError as exc:
-            raise ValidationError(
-                "C(n-j, k-j) or C(n, j) exceeds the float range; "
-                "n is too large for float probabilities"
-            ) from exc
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p", (1.0 - self.epsilon) * p0)
+        supersets = comb_at_most(self.n - self.j, self.k - self.j, MAX_FLOAT_INT)
+        fan = comb_at_most(self.k, self.j, MAX_FLOAT_INT + 1)  # c0 = fan - 1 converts
+        jsets = comb_at_most(self.n, self.j, MAX_FLOAT_INT)
+        if None in (supersets, fan, jsets) or (fan - 1) * supersets > MAX_FLOAT_INT:
+            raise ValidationError("C(n-j, k-j) or C(n, j) exceeds the float range; "
+                                  "n is too large for float probabilities")
+        object.__setattr__(self, "c0", fan - 1)
+        object.__setattr__(self, "p0", 1.0 / (self.c0 * supersets))
+        object.__setattr__(self, "p", (1.0 - self.epsilon) * self.p0)
         object.__setattr__(self, "delta", -self.epsilon - math.log1p(-self.epsilon))
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def supersets_per_jset(self) -> int:
-        """Number of k-sets containing a fixed j-set: C(n-j, k-j)."""
-        return math.comb(self.n - self.j, self.k - self.j)
+        object.__setattr__(self, "lam", self.epsilon**3 * jsets)
+        object.__setattr__(self, "supersets_per_jset", supersets)

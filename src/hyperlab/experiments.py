@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .combinatorics import TheoryParams
+from .combinatorics import MAX_FLOAT_INT, TheoryParams, comb_at_most
 from .enumeration import predicted_L1, predicted_M1
 from .errors import ResourceLimitError, ValidationError
 from .hypergraph import _decompose, sample
@@ -130,10 +130,8 @@ def _top_ids(sizes: np.ndarray, m: int) -> np.ndarray:
 
 def check_edge_budget(n: int, k: int, p: float, cap: int = DEFAULT_EDGE_BUDGET) -> None:
     """Refuse to sample H^k(n, p) when its expected edge count exceeds `cap`."""
-    try:  # C(n, k) >= 2^min(k, n-k) passes the float range from 1024 on
-        expected = math.inf if min(k, n - k) >= 1024 else math.comb(n, k) * p
-    except OverflowError:  # C(n, k) beyond the float range
-        expected = math.inf
+    total = comb_at_most(n, k, MAX_FLOAT_INT)
+    expected = math.inf if total is None else total * p
     if expected > cap:
         raise ResourceLimitError(f"expected edge count {expected:.0f} exceeds budget {cap}")
 

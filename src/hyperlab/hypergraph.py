@@ -46,8 +46,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .combinatorics import (check_domain, colex_dtype, rank_array, rank_subset, show_int,
-                            subset_masks, unrank_array)
+from .combinatorics import (check_domain, colex_dtype, comb_at_most, rank_array, rank_subset,
+                            show_int, subset_masks, unrank_array)
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -260,8 +260,7 @@ def _first_false(flags: np.ndarray) -> int:
 
 def _check_subsets(n: int, k: int, j: int) -> None:
     check_domain(n, k, j)
-    # C(k, j) >= 2^min(j, k-j), so from 16 on the cap is passed without C(k, j)
-    if min(j, k - j) >= 16 or math.comb(k, j) * j > MAX_TEMPLATE_CELLS:
+    if comb_at_most(k, j, MAX_TEMPLATE_CELLS // j) is None:
         raise ResourceLimitError(
             f"the j-subsets of one k-set at (k, j) = ({show_int(k)}, {show_int(j)}) exceed "
             f"{MAX_TEMPLATE_CELLS} cells"

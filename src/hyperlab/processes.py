@@ -26,7 +26,6 @@ Bernoulli hits into spawned k-sets.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -34,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import TheoryParams, rank_subset, unrank_subset
+from .combinatorics import TheoryParams, comb_at_most, rank_subset, unrank_subset
 from .errors import ResourceLimitError, ValidationError
 from .hypergraph import Hypergraph, _check_subsets, jset_lookup, walk
 from .rng import make_generator
@@ -114,13 +113,12 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
     # the k-labels that join the tree, still in colex order.
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
-    # C(n-j, k-j) >= 2^min(k-j, n-k), so from 22 on the cap is passed without it
-    if min(k - j, n - k) >= 22 or math.comb(n - j, k - j) > MAX_DRAWS:
+    if (candidates := comb_at_most(n - j, k - j, MAX_DRAWS)) is None:
         raise ResourceLimitError(
             f"each popped j-set would draw C(n-j, k-j) uniforms, more than {MAX_DRAWS}")
     rng = make_generator(seed)
     # refilled per pop; rng.random(out=draws) draws the doubles rng.random(N) would
-    draws = np.empty(math.comb(n - j, k - j))
+    draws = np.empty(candidates)
     hit = np.empty(draws.size, bool)
     tree = TwoTypeTree()
     tree.add("j", root, None)

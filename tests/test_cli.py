@@ -3,9 +3,11 @@ import dataclasses
 import io
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -438,6 +440,43 @@ def test_huge_arguments_refused_without_hanging(name, tmp_path):
     assert proc.returncode == expected and proc.stdout == ""
     assert proc.stderr.startswith("error:" if expected == 1 else "resource guard:")
     assert "Traceback" not in proc.stderr
+
+
+# n = 10**4000 puts every binomial far past its limit while min(r, m-r) stays
+# below 1024, where a guard that forms C(m, r) first takes seconds.
+FLOAT_RANGE = ("C(n-j, k-j) or C(n, j) exceeds the float range; "
+               "n is too large for float probabilities")
+BUDGET = "expected edge count inf exceeds budget 5000000"
+NKJ = ["--n", str(10**4000), "--k", "1002", "--j", "2"]
+FAR_PAST_LIMITS = {
+    "bounds_rs": (["bounds", "--which", "rs", *NKJ, "--epsilon", "0.3", "--s", "3"], 1),
+    "bounds_unicycle": (["bounds", "--which", "unicycle", *NKJ, "--epsilon", "0.3", "--s", "3"], 1),
+    "enumerate": (["enumerate", *NKJ, "--s-max", "3"], 1),
+    "experiment": (["experiment", *NKJ, "--epsilon", "0.3", "--trials", "1"], 1),
+    "gen_epsilon": (["gen", *NKJ, "--epsilon", "0.3", "--out", "{out}"], 1),
+    "gen_p": (["gen", *NKJ[:2], "--k", "1000", "--p", "1e-300", "--out", "{out}"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_PAST_LIMITS))
+def test_binomials_far_past_their_limits_refused_at_once(name, capsys, tmp_path):
+    argv, expected = FAR_PAST_LIMITS[name]
+    start = time.perf_counter()
+    code = main([a.format(out=tmp_path / "out.txt") for a in argv])
+    assert time.perf_counter() - start < 0.1
+    err = f"error: {FLOAT_RANGE}\n" if expected == 1 else f"resource guard: {BUDGET}\n"
+    assert (code, *capsys.readouterr()) == (expected, "", err)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TheoryParams(10**4000, 1002, 2, 0.3), ValidationError, FLOAT_RANGE),
+    (lambda: check_edge_budget(10**4000, 1000, 1e-300), ResourceLimitError, BUDGET),
+], ids=["TheoryParams", "check_edge_budget"])
+def test_guards_refuse_huge_n_at_once(call, error, message):
+    start = time.perf_counter()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 class TestExperiment:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from hyperlab import combinatorics
 from hyperlab.combinatorics import (
+    MAX_FLOAT_INT,
     TheoryParams,
     check_domain,
     colex_dtype,
+    comb_at_most,
     rank_array,
     rank_subset,
     unrank_array,
@@ -220,6 +222,19 @@ def test_colex_dtype_switches_to_python_ints():
     assert colex_dtype(100, 90) is object  # C(100, 50) bounds the tables of C(x, i), i <= 90
     assert colex_dtype(10**2200, 1) is object
     assert colex_dtype(10**2200, 1000) is object  # C(n, r) >= 2**r: no exact C(n, 1000)
+
+
+def test_comb_at_most_is_exact_at_every_cap():
+    for m in range(65):
+        for r in range(m + 1):
+            c = math.comb(m, r)
+            for cap in {0, 1, c - 1, c, c + 1, 2**31 - 1, 2**62 - 1, MAX_FLOAT_INT}:
+                assert comb_at_most(m, r, cap) == (c if c <= cap else None), (m, r, cap)
+    for r in (2, 1000, 1023):  # C(10**4000, r) has over 8,000 bits
+        assert comb_at_most(10**4000, r, MAX_FLOAT_INT) is None
+    float(MAX_FLOAT_INT)
+    with pytest.raises(OverflowError):
+        float(MAX_FLOAT_INT + 1)
 
 
 def test_rank_rejects_unsorted_and_duplicates():
