@@ -25,6 +25,7 @@ from .enumeration import (
     expected_Rs_upper,
     laplace_sum_check,
     log_wheel_bound,
+    log_wheel_bound_floor,
     unicycle_bound,
     wheel_bound_exact,
 )
@@ -200,10 +201,13 @@ def _cmd_bounds(args) -> int:
     if args.which == "wheel":
         _require(args, ["n", "k", "j", "ell"])
         n, k, j, ell = args.n, args.k, args.j, args.ell
-        # refuse in log space before the exact power of 1/p0; near the edge float(bound) decides
-        log_bound = log_wheel_bound(n, k, j, ell)
-        if log_bound > math.log(sys.float_info.max) + 1:
-            raise ValidationError(f"the wheel bound e^{log_bound:.6g} is past the float range")
+        # refuse in log space, from a floor before C(n-j, k-j) is formed and from the exact
+        # log before the exact power of 1/p0; near the edge float(bound) decides
+        log_limit = math.log(sys.float_info.max) + 1
+        if (log_bound := log_wheel_bound_floor(n, k, j, ell)) <= log_limit:
+            log_bound = log_wheel_bound(n, k, j, ell)
+        if log_bound > log_limit:
+            raise ValidationError(f"the wheel bound, e^{log_bound:.6g} or more, is past the float range")
         cw, bound = wheel_bound_exact(n, k, j, ell)
         try:
             lines = [f"c_w={_frac(cw)}", f"wheel_bound={float(bound):.10g}"]

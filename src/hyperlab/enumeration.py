@@ -7,8 +7,9 @@ in the unique series T with T(0) = 0 solving
     T = exp(z * (1 + T)^c0) - 1,       c0 = C(k, j) - 1.
 
 `tj_series_fixed_point` solves this equation online, one coefficient of
-U = 1 + T and of V = U^c0 per order, in O(s^2) exact products; it shares
-nothing with the closed form, so the two check each other.
+U = 1 + T and of V = U^c0 per order, in O(s^2) integer products on
+m! U_m and m! V_m and one Fraction per coefficient; it shares nothing
+with the closed form, so the two check each other.
 
 Closed form:  F_s = sum_{r=1..s} c0^(s-r) s^(s-r-1) / ((r-1)! (s-r)!),
 which the binomial theorem collapses to (1 + c0 s)^(s-1) / s!, and the
@@ -31,11 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import TheoryParams, check_domain, subset_masks
+from .combinatorics import TheoryParams, check_domain, comb_at_most, show_int, subset_masks
 from .errors import ResourceLimitError, ValidationError
 
 # Largest s of `laplace_sum_check`, whose two float arrays peak at 16 bytes per term
@@ -62,26 +64,34 @@ def tj_series_fixed_point(c0: int, s_max: int) -> RationalSeries:
     """The unique series T, T(0) = 0, with T = exp(z*(1+T)^c0) - 1.
 
     Solved one coefficient at a time for U = 1 + T and V = U^c0, from
-    U_0 = V_0 = 1: U = exp(z*V) gives
-
-        m U_m = sum_{i=1..m} i V_{i-1} U_{m-i},
-
+    U_0 = V_0 = 1: U = exp(z*V) gives m U_m = sum_{i=1..m} i V_{i-1} U_{m-i},
     and the power rule U V' = c0 U' V gives
+    m V_m = sum_{i=1..m} (c0 i - (m-i)) U_i V_{m-i}.  On the integers
+    a_m = m! U_m and b_m = m! V_m these read
 
-        m V_m = sum_{i=1..m} (c0 i - (m-i)) U_i V_{m-i},
+        a_m = sum_{i=1..m} i C(m-1, i-1) b_{i-1} a_{m-i},
+        m b_m = sum_{i=1..m} (c0 i - (m-i)) C(m, i) a_i b_{m-i},
 
-    so each order costs two length-m convolutions, O(s_max^2) in all.
+    where the division by m is exact (b_m = c0^m (1+m)^(m-1)).  Each order
+    costs two length-m convolutions, O(s_max^2) in all, and each returned
+    coefficient is one Fraction a_m / m!.
     """
     if s_max < 1:
         raise ValidationError(f"s_max must be >= 1, got {s_max}")
     if c0 < 1:
         raise ValidationError(f"c0 must be >= 1, got {c0}")
-    u, v = [Fraction(1)], [Fraction(1)]
+    a, b, row = [1], [1], [1]  # row: C(m-1, i) for i = 0..m-1
+    coeffs, fact = [Fraction(0)], 1
     for m in range(1, s_max + 1):
-        u.append(sum(i * v[i - 1] * u[m - i] for i in range(1, m + 1)) / m)
-        v.append(sum((c0 * i - (m - i)) * u[i] * v[m - i] for i in range(1, m + 1)) / m)
-    u[0] = Fraction(0)
-    return RationalSeries(u)
+        a.append(sum(i * row[i - 1] * b[i - 1] * a[m - i] for i in range(1, m + 1)))
+        row = [1, *map(add, row, row[1:]), 1]
+        mb, rest = divmod(sum((c0 * i - (m - i)) * row[i] * a[i] * b[m - i] for i in range(1, m + 1)), m)
+        if rest:
+            raise ArithmeticError(f"m b_m at m={m} is not a multiple of m")
+        b.append(mb)
+        fact *= m
+        coeffs.append(Fraction(a[m], fact))
+    return RationalSeries(coeffs)
 
 
 def f_s(c0: int, s: int) -> Fraction:
@@ -118,8 +128,14 @@ def exp_reciprocal_bounds(c0: int, terms: int) -> tuple[Fraction, Fraction]:
     """
     if c0 < 1 or terms < 1:
         raise ValidationError("need c0 >= 1 and terms >= 1")
+    # low = sum_{m <= terms} terms!/m! c0^(terms-m) / (terms! c0^terms), whose
+    # denominator is the m = 0 term
+    term = num = 1
+    for m in range(terms, 0, -1):
+        term *= m * c0
+        num += term
+    low = Fraction(num, term)
     x = Fraction(1, c0)
-    low = sum((x**m / math.factorial(m) for m in range(terms + 1)), Fraction(0))
     tail = (x ** (terms + 1) / math.factorial(terms + 1)) / (1 - x / (terms + 2))
     return low, low + tail
 
@@ -169,9 +185,10 @@ def brute_force_Bs(n: int, k: int, j: int, s: int) -> tuple[int, int]:
     check_domain(n, k, j)
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    if math.comb(n, k) > 50 or s > 4:
+    if (c := comb_at_most(n, k, 50)) is None or s > 4:
+        got = "C(n,k) > 50" if c is None else f"C={c}"
         raise ResourceLimitError(
-            f"brute-force guard: need C(n,k) <= 50 and s <= 4, got C={math.comb(n, k)}, s={s}"
+            f"brute-force guard: need C(n,k) <= 50 and s <= 4, got {got}, s={show_int(s)}"
         )
     m = 1 + (math.comb(k, j) - 1) * s
     if (rooted := math.comb(math.comb(n - j, k - j) * m, s) // m) > 10**6:
@@ -219,25 +236,38 @@ def wheel_constant(k: int, j: int) -> Fraction:
 
 
 def _wheel_factors(n: int, k: int, j: int, ell: int) -> tuple[Fraction, int]:
-    # c_w and 1/p0 = c0 C(n-j, k-j), the factors of the wheel-count bound
+    # c_w and c0, the factors of the wheel-count bound besides C(n-j, k-j) in 1/p0 = c0 C(n-j, k-j)
     if ell < 2:
         raise ValidationError(f"wheel length must be >= 2, got {ell}")
     check_domain(n, k, j)
-    return wheel_constant(k, j), (math.comb(k, j) - 1) * math.comb(n - j, k - j)
+    return wheel_constant(k, j), math.comb(k, j) - 1
 
 
 def wheel_bound_exact(n: int, k: int, j: int, ell: int) -> tuple[Fraction, Fraction]:
     """Exact rational form of the wheel-count bound c_w n^(k-j) / (p0^(ell-1) ell)."""
-    cw, inv_p0 = _wheel_factors(n, k, j, ell)
-    return cw, cw * n ** (k - j) * inv_p0 ** (ell - 1) / ell
+    cw, c0 = _wheel_factors(n, k, j, ell)
+    return cw, cw * n ** (k - j) * (c0 * math.comb(n - j, k - j)) ** (ell - 1) / ell
+
+
+def _log_bound(cw: Fraction, n: int, k: int, j: int, ell: int, log_inv_p0: float) -> float:
+    return (math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
+            + (ell - 1) * log_inv_p0 - math.log(ell))
 
 
 def log_wheel_bound(n: int, k: int, j: int, ell: int) -> float:
     """Natural log of the `wheel_bound_exact` bound, in floats: it costs no
     exact power, so it can decide whether the bound fits a float."""
-    cw, inv_p0 = _wheel_factors(n, k, j, ell)
-    return (math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
-            + (ell - 1) * math.log(inv_p0) - math.log(ell))
+    cw, c0 = _wheel_factors(n, k, j, ell)
+    return _log_bound(cw, n, k, j, ell, math.log(c0 * math.comb(n - j, k - j)))
+
+
+def log_wheel_bound_floor(n: int, k: int, j: int, ell: int) -> float:
+    """A lower bound on `log_wheel_bound` that forms no binomial of n, from
+    C(n-j, k-j) >= (n-k+1)^(k-j) / (k-j)!, so it can refuse a bound past the
+    float range at any n."""
+    cw, c0 = _wheel_factors(n, k, j, ell)
+    log_supersets = (k - j) * math.log(n - k + 1) - math.lgamma(k - j + 1)
+    return _log_bound(cw, n, k, j, ell, math.log(c0) + log_supersets)
 
 
 class LaplaceCheck(NamedTuple):

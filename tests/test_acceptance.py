@@ -49,12 +49,15 @@ def test_c01_enumeration_oracle_equivalence():
     _report(1, "tree-count closed form equals series fixed point", t0, 10)
 
 
-def test_series_oracle_to_order_100():
-    # the online series solve is cheap enough to check c0 = 1..6 to s = 100
+def test_series_oracle_to_order_200():
+    # the online series solve is cheap enough to check c0 = 1..6 to s = 200: against
+    # f_s's sum to s = 100, and against the one power (1 + c0 s)^(s-1) / s! past it
     for c0 in range(1, 7):
-        series = tj_series_fixed_point(c0, 100)
+        series = tj_series_fixed_point(c0, 200)
         for s in range(1, 101):
             assert f_s(c0, s) == series.coefficient(s)
+        for s in range(101, 201):
+            assert Fraction((1 + c0 * s) ** (s - 1), math.factorial(s)) == series.coefficient(s)
 
 
 def test_c02_tree_count_bracket_exact():

@@ -256,6 +256,15 @@ class TestBounds:
                                      "--j", "2", "--ell", ell)
             assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_wheel_huge_n_refused_before_the_binomial(self, capsys):
+        # C(10^4000 - 2, 1000) has about 4 million digits; a floor on its log refuses first
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", str(10**4000),
+                                 "--k", "1002", "--j", "2", "--ell", "2")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error:") and "past the float range" in err
+
     def test_rs_beyond_float_range_exits_one(self, capsys):
         # Rs lowers the (1-p) exponent by s(1 + c0); at (3,3,2) it turns negative
         for base in (["--n", "3", "--k", "3", "--j", "2", "--epsilon", "0.3", "--s", "1000"],

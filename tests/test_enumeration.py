@@ -20,6 +20,7 @@ from hyperlab.enumeration import (
     f_s,
     laplace_sum_check,
     log_wheel_bound,
+    log_wheel_bound_floor,
     predicted_L1,
     predicted_M1,
     tj_series_fixed_point,
@@ -42,6 +43,23 @@ def _exp(a):
     for m in range(1, len(a)):
         b.append(sum(i * a[i] * b[m - i] for i in range(1, m + 1)) / m)
     return b
+
+
+def _series_oracle(c0, order):
+    """T by the Fraction recurrences on U = 1 + T and V = U^c0 themselves:
+    m U_m = sum_i i V_(i-1) U_(m-i) and m V_m = sum_i (c0 i - (m-i)) U_i V_(m-i)."""
+    u, v = [Fraction(1)], [Fraction(1)]
+    for m in range(1, order + 1):
+        u.append(sum(i * v[i - 1] * u[m - i] for i in range(1, m + 1)) / m)
+        v.append(sum((c0 * i - (m - i)) * u[i] * v[m - i] for i in range(1, m + 1)) / m)
+    return [Fraction(0), *u[1:]]
+
+
+def _bracket_oracle(c0, terms):
+    """e^(1/c0) bracketed by its Fraction series summed term by term, plus the tail bound."""
+    x = Fraction(1, c0)
+    low = sum((x**m / math.factorial(m) for m in range(terms + 1)), Fraction(0))
+    return low, low + (x ** (terms + 1) / math.factorial(terms + 1)) / (1 - x / (terms + 2))
 
 
 def _lambert(r, order):
@@ -118,6 +136,14 @@ class TestTjSeries:
             rhs[0] -= 1
             assert t.coeffs == rhs
 
+    @pytest.mark.parametrize("c0", range(1, 9))
+    def test_integer_recurrence_matches_fraction_oracle(self, c0):
+        # a_m = m! U_m and b_m = m! V_m against the Fraction recurrences, at every
+        # order; dropping the C(m-1, i-1) factor from a_m fails at order 3
+        oracle = _series_oracle(c0, 40)
+        for order in range(1, 41):
+            assert tj_series_fixed_point(c0, order).coeffs == oracle[:order + 1]
+
     def test_lambert_substitution_route(self):
         # exp(-W(-c0 z)/c0) - 1 reproduces the fixed point series
         for c0 in (1, 2, 3):
@@ -164,6 +190,11 @@ class TestTreeCounts:
             # longer truncations give nested, tighter rational brackets
             assert lo30 <= lo60 < hi60 <= hi30
             assert float(lo30) == pytest.approx(math.exp(1 / c0), rel=1e-12)
+
+    @pytest.mark.parametrize("c0", range(1, 9))
+    def test_bracket_matches_fraction_oracle(self, c0):
+        for terms in [*range(1, 61), 202]:
+            assert exp_reciprocal_bounds(c0, terms) == _bracket_oracle(c0, terms)
 
     def test_enum_report_fields(self):
         params = TheoryParams(10, 3, 2, 0.3)
@@ -241,6 +272,13 @@ class TestBruteForceBs:
         with pytest.raises(ResourceLimitError):
             brute_force_Bs(4, 2, 1, 5)
 
+    def test_guard_forms_no_huge_binomial(self):
+        # C(10^4000, 1002) has about 4 million digits; it is neither formed nor printed
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"C\(n,k\) > 50"):
+            brute_force_Bs(10**4000, 1002, 2, 3)
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("n, k, j, s", [(7, 5, 2, 4), (7, 4, 1, 4), (7, 5, 1, 4)])
     def test_guard_bounds_the_work(self, n, k, j, s):
         # inside C(n,k) <= 50 and s <= 4, yet 10.1M to 20.8M rooted instances,
@@ -310,6 +348,16 @@ class TestWheelBound:
         for n, k, j, ell in [(8, 3, 2, 3), (30, 4, 2, 5), (60, 2, 1, 7), (12, 4, 3, 2)]:
             _, bound = wheel_bound_exact(n, k, j, ell)
             assert log_wheel_bound(n, k, j, ell) == pytest.approx(math.log(bound), rel=1e-12)
+
+
+    def test_log_bound_floor_below_exact_log(self):
+        # k - j = 1 makes the floor exact, so allow float rounding
+        for n, k, j, ell in [(8, 3, 2, 3), (30, 4, 2, 5), (60, 2, 1, 7), (12, 4, 3, 2),
+                             (10**6, 40, 3, 2), (10**30, 7, 2, 9), (50, 50, 25, 2)]:
+            exact = log_wheel_bound(n, k, j, ell)
+            assert log_wheel_bound_floor(n, k, j, ell) <= exact + 1e-12 * abs(exact)
+        with pytest.raises(ValidationError):
+            log_wheel_bound_floor(8, 3, 2, 1)
 
 
 class TestLaplace:
