@@ -247,12 +247,10 @@ def _experiment_config(args) -> ExperimentConfig:
                 raise ValidationError(f"bad config value for {name}: {values[name]!r}") from exc
         return value
 
-    chosen = {name: pick(name) for name in _REQUIRED}
-    missing = [name for name, v in chosen.items() if v is None]
+    chosen = {name: v for name in _CONFIG_TYPES if (v := pick(name)) is not None}
+    missing = [name for name in _REQUIRED if name not in chosen]
     if missing:
         raise ValidationError(f"experiment needs {', '.join('--' + m for m in missing)}")
-    optional = {name: pick(name) for name in _CONFIG_TYPES if name not in _REQUIRED}
-    chosen.update({name: v for name, v in optional.items() if v is not None})
     return ExperimentConfig(**chosen)
 
 

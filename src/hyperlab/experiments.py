@@ -1,10 +1,11 @@
 """Monte Carlo harness: sample, decompose, rank components, compare to theory.
 
 Each trial samples one hypergraph, decomposes it into j-components, ranks
-them by size (ties broken by smaller component id) and records the top m.
-Trial t runs on seed splitmix64-mixed from the base seed, so trials are
-reproducible in isolation and the full record list is byte-identical
-regardless of worker count.
+them by size (ties broken by smaller component id) and writes its own
+record of the top m, trial index included.  Trial t runs on seed
+splitmix64-mixed from the base seed, so it reproduces in isolation, and
+one worker or many make the same `run_trial` call for it: the record list
+is byte-identical whatever the worker count.
 
 The centered statistic delta*L_i - (log lambda - 2.5 log log lambda)
 should stay within a bounded band as n grows; its empirical 5-95% spread
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -100,14 +102,14 @@ class ExperimentSummary:
         return self.centered_quantiles[0][4]
 
 
-def run_trial(params: TheoryParams, seed: int, m: int) -> TrialRecord:
+def run_trial(params: TheoryParams, seed: int, m: int, trial: int = 0) -> TrialRecord:
     h = sample(params.n, params.k, params.p, seed)
     sizes, orders, flags, *_ = _decompose(h, params.j)
     top = _top_ids(sizes, m)
     pad = m - len(top)  # ranks past the last component read 0, 0, None
     nonhyp = sizes[~flags]
     return TrialRecord(
-        trial=0,  # caller stamps the index
+        trial=trial,
         seed=seed,
         edges=len(h.array),
         sizes=tuple(sizes[top].tolist()) + (0,) * pad,
@@ -136,11 +138,6 @@ def check_edge_budget(n: int, k: int, p: float, cap: int = DEFAULT_EDGE_BUDGET) 
         raise ResourceLimitError(f"expected edge count {expected:.0f} exceeds budget {cap}")
 
 
-def _trial_task(arg: tuple[TheoryParams, int, int, int]) -> TrialRecord:
-    params, base_seed, m, t = arg
-    return replace(run_trial(params, trial_seed(base_seed, t), m), trial=t)
-
-
 def run_experiment(
     config: ExperimentConfig, workers: int = 1
 ) -> tuple[list[TrialRecord], ExperimentSummary]:
@@ -154,15 +151,17 @@ def run_experiment(
     check_edge_budget(config.n, config.k, params.p, config.cap)
     workers = min(workers, config.trials, os.cpu_count() or 1)
     start = time.perf_counter()
-    tasks = [(params, config.base_seed, config.m, t) for t in range(config.trials)]
+    trials = range(config.trials)
+    seeds = [trial_seed(config.base_seed, t) for t in trials]
     if workers <= 1:
-        records = [_trial_task(task) for task in tasks]
+        records = list(map(run_trial, repeat(params), seeds, repeat(config.m), trials))
     else:
         # imported here: a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, config.trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=chunk))
+            records = list(pool.map(run_trial, repeat(params), seeds, repeat(config.m), trials,
+                                    chunksize=chunk))
     runtime = time.perf_counter() - start
     return records, summarize(config, records, runtime)
 
@@ -188,20 +187,20 @@ def summarize(config: ExperimentConfig, records: list[TrialRecord],
         / math.log(config.n),
         "lambda": params.lam,
     }
-    lq, cq, frac = [], [], []
-    for i in range(config.m):
-        sizes = np.array([r.sizes[i] for r in records], dtype=np.float64)
-        lq.append(tuple(float(v) for v in np.quantile(sizes, QUANTILES)))
-        centered = params.delta * sizes - target
-        cq.append(tuple(float(v) for v in np.quantile(centered, QUANTILES)))
-        flags = [r.hypertree[i] for r in records if r.hypertree[i] is not None]
-        frac.append(sum(flags) / len(flags) if flags else None)
+    sizes = np.array([r.sizes for r in records], dtype=np.float64)  # trials x m
+    # per rank, the QUANTILES over the trials in that column
+    lq, cq = (tuple(map(tuple, np.quantile(a, QUANTILES, axis=0).T.tolist()))
+              for a in (sizes, params.delta * sizes - target))
+    frac = []
+    for flags in zip(*(r.hypertree for r in records)):
+        known = [f for f in flags if f is not None]
+        frac.append(sum(known) / len(known) if known else None)
     return ExperimentSummary(
         config=config,
         theory=theory,
         regime=regime,
-        l_quantiles=tuple(lq),
-        centered_quantiles=tuple(cq),
+        l_quantiles=lq,
+        centered_quantiles=cq,
         hypertree_frac=tuple(frac),
         runtime_seconds=runtime,
     )

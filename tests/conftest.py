@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import pytest
 
 from hyperlab.experiments import ExperimentConfig, csv_lines, run_experiment
@@ -30,3 +33,36 @@ def format_trace(trace: SearchTrace) -> list[str]:
         f"STEP {i} POP {kind} {','.join(str(v) for v in label)}"
         for i, (kind, label) in enumerate(trace.pops)
     ]
+
+
+# Level-0.05 critical values of the KS distance of R samples, two-sided and
+# one-sided (sqrt(ln 20 / 2) = 1.224); for a discrete law the statistic is
+# stochastically smaller than for a continuous one, so both are conservative.
+KS_TWO_SIDED = 1.36
+KS_ONE_SIDED = 1.224
+
+
+def hitting_time_pmf(big_n: int, c0: int, p: float, s: int) -> float:
+    """P(T = s), T the type-k count of the two-type branching process in which
+    each type-j vertex draws Binomial(N, p) type-k children and each type-k
+    vertex has c0 type-j children: by the hitting-time theorem,
+    C(N(1+c0 s), s)/(1+c0 s) p^s (1-p)^(N(1+c0 s)-s)."""
+    m = big_n * (1 + c0 * s)
+    return math.exp(math.lgamma(m + 1) - math.lgamma(s + 1) - math.lgamma(m - s + 1)
+                    - math.log1p(c0 * s) + s * math.log(p) + (m - s) * math.log1p(-p))
+
+
+def ks_distance(samples: list[int], pmf, one_sided: bool = False) -> float:
+    """KS distance of non-negative integer samples against the law with
+    P(T = s) = pmf(s): max_s |F_hat(s) - F(s)|, or with `one_sided` the excess
+    of the samples' upper tail, P_hat(S >= s) - P(T >= s) at its largest over
+    s = 1 .. max(samples) + 1 (past that it is -P(T >= s), below 0)."""
+    counts = Counter(samples)
+    law = observed = 0.0
+    distance = -math.inf
+    for s in range(max(samples) + 1):
+        law += pmf(s)
+        observed += counts[s] / len(samples)
+        gap = law - observed  # P_hat(S > s) - P(T > s)
+        distance = max(distance, gap if one_sided else abs(gap))
+    return distance

@@ -10,9 +10,10 @@ kept faithful rather than loosened.
 import math
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
-from hyperlab.combinatorics import TheoryParams, rank_subset
+from hyperlab.combinatorics import TheoryParams, rank_subset, unrank_subset
 from hyperlab.enumeration import (
     exp_reciprocal_bounds,
     f_s,
@@ -28,9 +29,9 @@ from hyperlab.hypergraph import (
     jset_lookup,
     sample,
 )
-from hyperlab.processes import coupled_run
-from hyperlab.rng import trial_seed
-from tests.conftest import ACCEPT_CONFIG, GRAPH_CONFIG
+from hyperlab.processes import coupled_run, search_component
+from hyperlab.rng import make_generator, trial_seed
+from tests.conftest import ACCEPT_CONFIG, GRAPH_CONFIG, KS_ONE_SIDED, hitting_time_pmf, ks_distance
 from tests.test_hypergraph import graph_components_bfs
 
 
@@ -138,6 +139,25 @@ def test_c04_coupling_dominance_at_n_1000():
                 assert branch >= comp
                 runs += 1
     _report(4, "branching dominates search at n=1000", t0, 20, f"runs={runs}")
+
+
+def test_c04_component_size_dominated_in_law():
+    # From a uniform start j-set, the size S of its j-component must be
+    # stochastically at most the branching size T: one-sided KS, D+ =
+    # max_s [P_hat(S >= s) - P(T >= s)] below its level-0.05 critical value.
+    # Hypergraph seeds trial_seed(770_000 + pair, r); start ranks drawn from
+    # make_generator(880_000 + pair); both bases are used by no other check.
+    t0 = time.perf_counter()
+    runs = 2_000
+    for combo_idx, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 2)]):
+        params = TheoryParams(60, k, j, 0.3)
+        ranks = make_generator(880_000 + combo_idx).integers(math.comb(params.n, j), size=runs)
+        sizes = [search_component(sample(params.n, k, params.p, trial_seed(770_000 + combo_idx, r)),
+                                  j, unrank_subset(int(rank), j, params.n)).size
+                 for r, rank in enumerate(ranks)]
+        law = partial(hitting_time_pmf, params.supersets_per_jset, params.c0, params.p)
+        assert ks_distance(sizes, law, one_sided=True) < KS_ONE_SIDED / math.sqrt(runs)
+    _report(4, "component size dominated by the branching law", t0, 10, f"runs={4 * runs}")
 
 
 def test_c05_hypertree_iff_no_wheel():

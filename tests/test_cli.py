@@ -534,8 +534,8 @@ class TestExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):  # ProcessPoolExecutor.map's signature
+                return map(fn, *iterables)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)

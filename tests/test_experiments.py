@@ -10,6 +10,7 @@ from hyperlab import experiments
 from hyperlab.combinatorics import TheoryParams, colex_dtype
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.experiments import (
+    QUANTILES,
     ExperimentConfig,
     TrialRecord,
     compare_to_theory,
@@ -314,3 +315,26 @@ def test_summarize_handles_tiny_lambda():
     records, summary = run_experiment(cfg)
     assert math.isnan(summary.theory["predicted_L1"])
     assert len(records) == 2
+
+
+@pytest.mark.parametrize("n, epsilon", [(40, 0.3), (12, 0.2)])  # lambda = 21.06, 0.528
+@pytest.mark.parametrize("trials", [1, 31])
+@pytest.mark.parametrize("m", [1, 3])
+def test_summary_equals_per_rank_statistics(n, epsilon, trials, m):
+    # the one (trials x m) array must give each rank what that rank's own
+    # column gives; NaN centered quantiles (lambda <= e) compare equal to NaN
+    cfg = ExperimentConfig(n=n, k=3, j=2, epsilon=epsilon, trials=trials, m=m, base_seed=3)
+    records, summary = run_experiment(cfg)
+    params = cfg.params()
+    loglam = math.log(params.lam)
+    target = loglam - 2.5 * math.log(loglam) if params.lam > math.e else math.nan
+    for i in range(m):
+        column = np.array([r.sizes[i] for r in records], dtype=np.float64)
+        np.testing.assert_array_equal(summary.l_quantiles[i], np.quantile(column, QUANTILES))
+        np.testing.assert_array_equal(summary.centered_quantiles[i],
+                                      np.quantile(params.delta * column - target, QUANTILES))
+        flags = [r.hypertree[i] for r in records if r.hypertree[i] is not None]
+        assert summary.hypertree_frac[i] == (sum(flags) / len(flags) if flags else None)
+    if (n, trials, m) == (12, 31, 3):  # some trials have fewer than 3 components
+        assert any(r.hypertree[-1] is None for r in records)
+        assert all(math.isnan(v) for v in summary.centered_quantiles[0])

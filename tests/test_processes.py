@@ -2,6 +2,7 @@ import math
 import pickle
 import tracemalloc
 from collections import Counter, deque
+from functools import partial
 from itertools import combinations
 from unittest import mock
 
@@ -20,7 +21,7 @@ from hyperlab.processes import (
     search_component,
 )
 from hyperlab.rng import make_generator, trial_seed
-from tests.conftest import format_trace
+from tests.conftest import KS_TWO_SIDED, format_trace, hitting_time_pmf, ks_distance
 
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
@@ -172,22 +173,14 @@ class TestBranching:
 
     @pytest.mark.parametrize("n, k, j", [(30, 3, 2), (14, 4, 2), (12, 4, 3), (200, 2, 1)])
     def test_size_law_ks(self, n, k, j):
-        # each j-set draws Binomial(N, p) k-children, N = C(n-j, k-j), so by the
-        # hitting-time theorem P(T = s) = C(N(1+c0 s), s)/(1+c0 s) p^s (1-p)^(N(1+c0 s)-s)
+        # each j-set draws Binomial(N, p) k-children, N = C(n-j, k-j): the
+        # hitting-time law of `hitting_time_pmf`
         params = TheoryParams(n, k, j, 0.3)
-        big_n, c0, p = params.supersets_per_jset, params.c0, params.p
         trees = 5_000
-        sizes = [branching_with_rate(n, k, j, p, tuple(range(1, j + 1)), seed).size
+        sizes = [branching_with_rate(n, k, j, params.p, tuple(range(1, j + 1)), seed).size
                  for seed in range(900_000, 900_000 + trees)]
-        counts = Counter(sizes)
-        law = observed = distance = 0.0
-        for s in range(max(sizes) + 1):
-            m = big_n * (1 + c0 * s)
-            law += math.exp(math.lgamma(m + 1) - math.lgamma(s + 1) - math.lgamma(m - s + 1)
-                            - math.log1p(c0 * s) + s * math.log(p) + (m - s) * math.log1p(-p))
-            observed += counts[s] / trees
-            distance = max(distance, abs(observed - law))
-        assert distance < 1.36 / math.sqrt(trees)
+        law = partial(hitting_time_pmf, params.supersets_per_jset, params.c0, params.p)
+        assert ks_distance(sizes, law) < KS_TWO_SIDED / math.sqrt(trees)
 
     def test_pop_memory_is_the_draws(self):
         # one pop at n = 4,000,000 draws n - 1 doubles (30.5 MiB); mapping its
