@@ -25,7 +25,6 @@ from .enumeration import (
     expected_Rs_upper,
     laplace_sum_check,
     log_wheel_bound,
-    log_wheel_bound_floor,
     unicycle_bound,
     wheel_bound_exact,
 )
@@ -144,10 +143,10 @@ def _cmd_gen(args) -> int:
 def _cmd_components(args) -> int:
     h = read_hypergraph(_read_text(args.infile))
     check_domain(h.n, h.k, args.j)
-    # C(n, j) >= (n/j)^j: refuse before the decomposition, and before
-    # computing a count that cannot print
+    # C(n, j) >= (n/j)^j: refuse before the decomposition and before forming a count
+    # that cannot print, with j kept an int, as it may pass the float range
     limit = sys.get_int_max_str_digits()
-    if limit and args.j * (math.log10(h.n) - math.log10(args.j)) > limit + 1:
+    if limit and math.log10(h.n) - math.log10(args.j) > (limit + 1) / args.j:
         raise ResourceLimitError(f"the isolated j-set count would print over {limit} digits")
     sizes, orders, flags, firsts, _, keys, _ = _decompose(h, args.j)
     lines = ["id size order hypertree\n"]
@@ -201,13 +200,10 @@ def _cmd_bounds(args) -> int:
     if args.which == "wheel":
         _require(args, ["n", "k", "j", "ell"])
         n, k, j, ell = args.n, args.k, args.j, args.ell
-        # refuse in log space, from a floor before C(n-j, k-j) is formed and from the exact
-        # log before the exact power of 1/p0; near the edge float(bound) decides
-        log_limit = math.log(sys.float_info.max) + 1
-        if (log_bound := log_wheel_bound_floor(n, k, j, ell)) <= log_limit:
-            log_bound = log_wheel_bound(n, k, j, ell)
-        if log_bound > log_limit:
-            raise ValidationError(f"the wheel bound, e^{log_bound:.6g} or more, is past the float range")
+        # refuse from the bound's log before the exact power of 1/p0 is formed;
+        # near the edge float(bound) decides
+        if (log_bound := log_wheel_bound(n, k, j, ell)) > math.log(sys.float_info.max) + 1:
+            raise ValidationError(f"the wheel bound, e^{log_bound:.6g}, is past the float range")
         cw, bound = wheel_bound_exact(n, k, j, ell)
         try:
             lines = [f"c_w={_frac(cw)}", f"wheel_bound={float(bound):.10g}"]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 from operator import add
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,18 @@ from .errors import ResourceLimitError, ValidationError
 MAX_LAPLACE_S = 1_000_000
 # Largest size, in decimal digits, of the exact arithmetic in `wheel_constant`.
 MAX_WHEEL_CONSTANT_DIGITS = 100_000
+
+
+def _in_float_range(what: str, evaluate: Callable[[], float]) -> float:
+    # The one float-range rule of the log-space bound evaluators: an OverflowError (an int,
+    # lgamma or exp past the float range), or a result that rounds to inf or nan, is refused
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise ValidationError(f"{what} is past the float range")
 
 
 class RationalSeries:
@@ -224,10 +236,13 @@ def wheel_constant(k: int, j: int) -> Fraction:
     arithmetic, has more than MAX_WHEEL_CONSTANT_DIGITS digits.
     """
     check_domain(k, k, j)
-    log_c0 = math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
-    digits = ((j - 1) * log_c0 + math.lgamma(j + 1) + math.lgamma(k - j + 1)) / math.log(10)
+    try:
+        log_c0 = math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
+        digits = ((j - 1) * log_c0 + math.lgamma(j + 1) + math.lgamma(k - j + 1)) / math.log(10)
+    except OverflowError:  # a k past the float range, so j or k-j is too
+        digits = math.inf
     if digits > MAX_WHEEL_CONSTANT_DIGITS:
-        raise ResourceLimitError(f"c_w at (k, j) = ({k}, {j}) needs about {digits:.3g} digits")
+        raise ResourceLimitError(f"c_w at (k, j) = ({show_int(k)}, {show_int(j)}) needs {digits:.3g} digits")
     c0 = math.comb(k, j) - 1
     cw = Fraction((k - j) ** j, math.factorial(j) * math.factorial(k - j))
     for m in range(1, j):
@@ -249,25 +264,15 @@ def wheel_bound_exact(n: int, k: int, j: int, ell: int) -> tuple[Fraction, Fract
     return cw, cw * n ** (k - j) * (c0 * math.comb(n - j, k - j)) ** (ell - 1) / ell
 
 
-def _log_bound(cw: Fraction, n: int, k: int, j: int, ell: int, log_inv_p0: float) -> float:
-    return (math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
-            + (ell - 1) * log_inv_p0 - math.log(ell))
-
-
 def log_wheel_bound(n: int, k: int, j: int, ell: int) -> float:
-    """Natural log of the `wheel_bound_exact` bound, in floats: it costs no
-    exact power, so it can decide whether the bound fits a float."""
+    """Natural log of the `wheel_bound_exact` bound, in floats.  log C(n-j, k-j)
+    is summed over its k-j factors (n-k+i)/i, so that no binomial of n is
+    formed: the log can decide at any n whether the bound fits a float."""
     cw, c0 = _wheel_factors(n, k, j, ell)
-    return _log_bound(cw, n, k, j, ell, math.log(c0 * math.comb(n - j, k - j)))
-
-
-def log_wheel_bound_floor(n: int, k: int, j: int, ell: int) -> float:
-    """A lower bound on `log_wheel_bound` that forms no binomial of n, from
-    C(n-j, k-j) >= (n-k+1)^(k-j) / (k-j)!, so it can refuse a bound past the
-    float range at any n."""
-    cw, c0 = _wheel_factors(n, k, j, ell)
-    log_supersets = (k - j) * math.log(n - k + 1) - math.lgamma(k - j + 1)
-    return _log_bound(cw, n, k, j, ell, math.log(c0) + log_supersets)
+    log_supersets = sum(math.log(n - k + i) - math.log(i) for i in range(1, k - j + 1))
+    return _in_float_range("the log of the wheel bound", lambda: (
+        math.log(cw.numerator) - math.log(cw.denominator) + (k - j) * math.log(n)
+        + (ell - 1) * (math.log(c0) + log_supersets) - math.log(ell)))
 
 
 class LaplaceCheck(NamedTuple):
@@ -307,26 +312,18 @@ def _log_b_s(params: TheoryParams, s: int) -> float:
     # log B_s in floats, from F_s = (1 + c0 s)^(s-1) / s!; the exact `b_s` sums s big-integer terms
     if s < 1:
         raise ValidationError(f"s must be >= 1, got {s}")
-    try:
-        log_b = (math.log(math.comb(params.n, params.j)) + s * math.log(params.supersets_per_jset)
-                 + (s - 1) * math.log(1 + params.c0 * s) - math.lgamma(s + 1))
-    except OverflowError:  # an int s past the float range, or lgamma(s + 1)
-        log_b = math.inf
-    if log_b < math.inf:  # near the float range a product can round to inf
-        return log_b
-    raise ValidationError(f"log B_s at a {s.bit_length()}-bit s is past the float range")
+    return _in_float_range("log B_s", lambda: (
+        math.log(math.comb(params.n, params.j)) + s * math.log(params.supersets_per_jset)
+        + (s - 1) * math.log(1 + params.c0 * s) - math.lgamma(s + 1)))
 
 
 def _weighted_b_s(params: TheoryParams, s: int, x: int) -> float:
     # B_s p^s (1-p)^x, evaluated in log space.  x can pass the float range as an
     # int, so x log(1-p) is rounded once from the exact product; Rs lowers x by
     # s(1 + c0), which can lift the value past the float range
-    log_value = (_log_b_s(params, s) + s * math.log(params.p)
-                 + float(x * Fraction(math.log1p(-params.p))))
-    try:
-        return math.exp(log_value)
-    except OverflowError as exc:
-        raise ValidationError(f"the bound e^{log_value:.6g} at s={s} is past the float range") from exc
+    log_b = _log_b_s(params, s)
+    return _in_float_range("the bound B_s p^s (1-p)^x", lambda: math.exp(
+        log_b + s * math.log(params.p) + float(x * Fraction(math.log1p(-params.p)))))
 
 
 def expected_Rs_upper(params: TheoryParams, s: int) -> float:
@@ -362,8 +359,10 @@ def unicycle_bound(params: TheoryParams, s: int, constant: float = 244.0) -> flo
         raise ValidationError(f"constant must be positive, got {constant}")
     if constant == math.inf:
         raise ValidationError(f"constant must be finite, got {constant}")
-    return (log_wheel_bound(params.n, params.k, params.j, s) + math.log(constant)
-            + 2 * math.log(params.c0) + (s + 1.5) * math.log(s) - math.lgamma(s + 1))
+    log_wheel = log_wheel_bound(params.n, params.k, params.j, s)
+    return _in_float_range("the log of the unicycle bound", lambda: (
+        log_wheel + math.log(constant) + 2 * math.log(params.c0) + (s + 1.5) * math.log(s)
+        - math.lgamma(s + 1)))
 
 
 def predicted_L1(params: TheoryParams) -> float:

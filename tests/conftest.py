@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import combinations
 
 import pytest
 
@@ -52,6 +53,20 @@ def hitting_time_pmf(big_n: int, c0: int, p: float, s: int) -> float:
                     - math.log1p(c0 * s) + s * math.log(p) + (m - s) * math.log1p(-p))
 
 
+def chi2_pooled(law: dict, observed: Counter, trials: int) -> tuple[float, float]:
+    """Pearson's chi^2 of `trials` observed counts against `law` (outcome ->
+    probability), after merging the two least expected cells until each
+    expects 5 or more, and its 0.999 quantile on (cells - 1) dof by
+    Wilson-Hilferty, z = 3.0902."""
+    cells = sorted((trials * prob, observed[outcome]) for outcome, prob in law.items())
+    while cells[0][0] < 5:
+        (e0, o0), (e1, o1) = cells[:2]
+        cells = sorted([(e0 + e1, o0 + o1), *cells[2:]])
+    dof = len(cells) - 1
+    threshold = dof * (1 - 2 / (9 * dof) + 3.0902 * math.sqrt(2 / (9 * dof))) ** 3
+    return sum((o - e) ** 2 / e for e, o in cells), threshold
+
+
 def ks_distance(samples: list[int], pmf, one_sided: bool = False) -> float:
     """KS distance of non-negative integer samples against the law with
     P(T = s) = pmf(s): max_s |F_hat(s) - F(s)|, or with `one_sided` the excess
@@ -66,3 +81,40 @@ def ks_distance(samples: list[int], pmf, one_sided: bool = False) -> float:
         gap = law - observed  # P_hat(S > s) - P(T > s)
         distance = max(distance, gap if one_sided else abs(gap))
     return distance
+
+
+def top_record_tallies(n: int, k: int, j: int) -> dict[tuple, Counter]:
+    """The exact law of `run_trial`'s top-1 record (L1, the hypertree flag of
+    rank 1, the largest non-hypertree size) on H^k(n, p), as integer tallies:
+    per record, a_m hypergraphs with m edges give it, over all 2^E edge sets,
+    E = C(n, k), so P(record) = sum_m a_m p^m (1-p)^(E-m) at every p.
+
+    Components are found by BFS over shared j-sets, apart from `_decompose`.
+    Edges are taken in colex order, so components come in id order (each
+    one's id is its least edge) and rank 1 is the first of the largest.
+    """
+    ksets = sorted(combinations(range(n), k), key=lambda e: e[::-1])
+    jsets = [set(combinations(e, j)) for e in ksets]
+    c0 = math.comb(k, j) - 1
+    tallies = defaultdict(Counter)
+    for mask in range(1 << len(ksets)):
+        edges = [i for i in range(len(ksets)) if mask >> i & 1]
+        seen, top, nonhyp = set(), (0, None), 0
+        for root in edges:
+            if root in seen:
+                continue
+            seen.add(root)
+            queue, order = [root], set()
+            for e in queue:
+                order |= jsets[e]
+                for f in edges:
+                    if f not in seen and jsets[e] & jsets[f]:
+                        seen.add(f)
+                        queue.append(f)
+            hypertree = len(order) == 1 + c0 * len(queue)
+            if len(queue) > top[0]:
+                top = (len(queue), hypertree)
+            if not hypertree:
+                nonhyp = max(nonhyp, len(queue))
+        tallies[(*top, nonhyp)][len(edges)] += 1
+    return tallies

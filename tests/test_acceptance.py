@@ -9,9 +9,12 @@ kept faithful rather than loosened.
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+
+import pytest
 
 from hyperlab.combinatorics import TheoryParams, rank_subset, unrank_subset
 from hyperlab.enumeration import (
@@ -21,7 +24,7 @@ from hyperlab.enumeration import (
     tj_series_fixed_point,
     wheel_bound_exact,
 )
-from hyperlab.experiments import csv_lines, run_experiment
+from hyperlab.experiments import csv_lines, run_experiment, run_trial
 from hyperlab.hypergraph import (
     brute_force_wheel_census,
     find_wheel,
@@ -31,7 +34,15 @@ from hyperlab.hypergraph import (
 )
 from hyperlab.processes import coupled_run, search_component
 from hyperlab.rng import make_generator, trial_seed
-from tests.conftest import ACCEPT_CONFIG, GRAPH_CONFIG, KS_ONE_SIDED, hitting_time_pmf, ks_distance
+from tests.conftest import (
+    ACCEPT_CONFIG,
+    GRAPH_CONFIG,
+    KS_ONE_SIDED,
+    chi2_pooled,
+    hitting_time_pmf,
+    ks_distance,
+    top_record_tallies,
+)
 from tests.test_hypergraph import graph_components_bfs
 
 
@@ -241,6 +252,29 @@ class TestC08DeskScaleStatisticalRun:
         frac = summary.hypertree_frac[0]
         print(f"ACCEPTANCE 8 (b: top-1 hypertree fraction): measured {frac:.4f}, requirement 0.95")
         assert frac is not None and frac >= 0.95
+
+    def test_c08_top_record_exact_law_at_n5(self):
+        # run_trial's top-1 record (L1, rank 1's hypertree flag, the largest
+        # non-hypertree) against its exact law over all 2^C(5,k) hypergraphs,
+        # for every (k, j) with k <= 4: chi^2 below its 0.999 quantile.
+        # Seeds trial_seed(515_000 + pair, t).
+        t0 = time.perf_counter()
+        trials, stats = 2_000, []
+        for pair, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]):
+            params = TheoryParams(5, k, j, 0.3)
+            edges, p = math.comb(5, k), params.p
+            law = {record: sum(a * p**m * (1 - p) ** (edges - m) for m, a in tally.items())
+                   for record, tally in top_record_tallies(5, k, j).items()}
+            assert sum(law.values()) == pytest.approx(1.0, rel=1e-12)
+            observed = Counter()
+            for t in range(trials):
+                r = run_trial(params, trial_seed(515_000 + pair, t), 1)
+                observed[r.sizes[0], r.hypertree[0], r.largest_nonhypertree] += 1
+            assert set(observed) <= set(law)
+            chi2, threshold = chi2_pooled(law, observed, trials)
+            stats.append(f"({k},{j}) {chi2:.1f}/{threshold:.1f}")
+            assert chi2 < threshold, stats[-1]
+        _report(8, "top-1 record in exact law at n=5", t0, 30, " ".join(stats))
 
     def test_c08c_order_identity_exact(self, accept_run):
         records, _, _ = accept_run

@@ -257,7 +257,7 @@ class TestBounds:
             assert code == 1 and out == "" and err.startswith("error:")
 
     def test_wheel_huge_n_refused_before_the_binomial(self, capsys):
-        # C(10^4000 - 2, 1000) has about 4 million digits; a floor on its log refuses first
+        # C(10^4000 - 2, 1000) has about 4 million digits; the summed log refuses first
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", str(10**4000),
                                  "--k", "1002", "--j", "2", "--ell", "2")
@@ -311,10 +311,10 @@ class TestBounds:
 
 
 # Each flag takes a value from one pool, or is left out: negative, zero, small,
-# the values that once raised (--ell 300, --s-max 1000, --s 10**15) and
-# non-numeric.  Every value either finishes within about a second or meets a
-# guard.
-ARGV_POOL = ["-1", "0", "0.3", "2", "3", "8", "300", "1000", str(10**15), "x", None]
+# the values that once raised (--ell 300, --s-max 1000, --s 10**15), an int
+# past the float range and non-numeric.  Every value either finishes within
+# about a second or meets a guard.
+ARGV_POOL = ["-1", "0", "0.3", "2", "3", "8", "300", "1000", str(10**15), str(10**400), "x", None]
 FLAGS = {
     "bounds": ["--n", "--k", "--j", "--epsilon", "--ell", "--a", "--s", "--constant"],
     "enumerate": ["--k", "--j", "--n", "--s-max"],
@@ -411,6 +411,9 @@ CHILD = ("import sys\ntry:\n    from hyperlab.cli import main\n"
          "sys.exit(main(sys.argv[1:]))\n")
 BIG, HUGE = HUGE_INTS[:2]
 EXP = ["experiment", "--n", "40", "--k", "3", "--j", "2", "--epsilon", "0.3"]
+# 10**400 does not convert to a float, and at 10**307 lgamma(s + 1) overflows
+PAST_FLOAT, NEAR_FLOAT = str(10**400), str(10**307)
+UNICYCLE = ["bounds", "--which", "unicycle", "--n", "200", "--k", "3", "--j", "2", "--epsilon", "0.3"]
 REFUSALS = {
     "components_isolated_count_past_digit_limit":
         (["components", "--in", "{header}", "--j", "2"], f"{10**2200} 3 0", 3),
@@ -428,6 +431,14 @@ REFUSALS = {
                              "--epsilon", "0.3", "--trials", "1"], None, 1),
     "experiment_huge_m": (EXP + ["--trials", "1", "--m", HUGE], None, 3),
     "experiment_huge_trials": (EXP + ["--trials", HUGE], None, 3),
+    "bounds_wheel_ell_past_float": (["bounds", "--which", "wheel", "--n", "8", "--k", "3",
+                                     "--j", "2", "--ell", PAST_FLOAT], None, 1),
+    "bounds_unicycle_s_past_float": (UNICYCLE + ["--s", PAST_FLOAT], None, 1),
+    "bounds_unicycle_lgamma_past_float": (UNICYCLE + ["--s", NEAR_FLOAT], None, 1),
+    "bounds_wheel_constant_k_past_float": (["bounds", "--which", "wheel", "--n", PAST_FLOAT,
+                                            "--k", PAST_FLOAT, "--j", "1", "--ell", "2"], None, 3),
+    "components_j_past_float": (["components", "--in", "{header}", "--j", str(10**400 - 1)],
+                                f"{PAST_FLOAT} {PAST_FLOAT} 0", 3),
 }
 
 
@@ -448,7 +459,7 @@ def test_huge_arguments_refused_without_hanging(name, tmp_path):
         pytest.skip("hyperlab does not import under a 2 GiB address-space cap")
     assert proc.returncode == expected and proc.stdout == ""
     assert proc.stderr.startswith("error:" if expected == 1 else "resource guard:")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 # n = 10**4000 puts every binomial far past its limit while min(r, m-r) stays
