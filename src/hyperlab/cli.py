@@ -19,6 +19,7 @@ from typing import get_type_hints
 
 from .combinatorics import TheoryParams, check_domain
 from .enumeration import (
+    _in_float_range,
     enum_report,
     exp_reciprocal_bounds,
     expected_Cs_lower_reference,
@@ -148,14 +149,14 @@ def _cmd_components(args) -> int:
     limit = sys.get_int_max_str_digits()
     if limit and math.log10(h.n) - math.log10(args.j) > (limit + 1) / args.j:
         raise ResourceLimitError(f"the isolated j-set count would print over {limit} digits")
-    sizes, orders, flags, firsts, _, keys, _ = _decompose(h, args.j)
+    sizes, orders, flags, firsts, _ = _decompose(h, args.j)
     lines = ["id size order hypertree\n"]
     lines += [f"{cid} {size} {order} {'yes' if flag else 'no'}\n" for cid, (size, order, flag)
               in enumerate(zip(sizes.tolist(), orders.tolist(), flags.tolist()))]
     # every touched j-set lies in exactly one component's order
     lines.append(f"isolated_jsets {_str(math.comb(h.n, args.j) - int(orders.sum()))}\n")
     if args.wheels:
-        for cid, w in enumerate(_witnesses(h, args.j, flags, firsts, keys)):
+        for cid, w in enumerate(_witnesses(h, args.j, flags, firsts)):
             if w is not None:
                 ks = "|".join(",".join(map(str, e)) for e in w.edges)
                 js = "|".join(",".join(map(str, s)) for s in w.jsets)
@@ -205,10 +206,8 @@ def _cmd_bounds(args) -> int:
         if (log_bound := log_wheel_bound(n, k, j, ell)) > math.log(sys.float_info.max) + 1:
             raise ValidationError(f"the wheel bound, e^{log_bound:.6g}, is past the float range")
         cw, bound = wheel_bound_exact(n, k, j, ell)
-        try:
-            lines = [f"c_w={_frac(cw)}", f"wheel_bound={float(bound):.10g}"]
-        except OverflowError as exc:
-            raise ValidationError("the wheel bound is past the float range") from exc
+        lines = [f"c_w={_frac(cw)}",
+                 f"wheel_bound={_in_float_range('the wheel bound', lambda: float(bound)):.10g}"]
         print("\n".join(lines))
     elif args.which == "laplace":
         _require(args, ["a", "s"])

@@ -14,13 +14,13 @@ One helper ranks every j-subset of every edge from the edge columns
 (`rank_array`, with no gathered copy of the subsets), packs each rank with
 the subset's row into one key, rank * count + row, in int32 where every key
 fits (int64, then object, beyond), and sorts the keys by value; being
-unique, they fall in the stable order of the ranks.  Equal neighbouring
-ranks link two edges through a shared j-set, and `_decompose` finds the
-components of that edge graph by hook-and-shortcut (`_least_connected`),
-reading a key's edge only at the links, and returns the sorted keys with
-their run starts; it keeps none of them, since its callers drop the
-hypergraph right after.  `jset_lookup` maps a j-set to its edges by
-bisecting the sorted keys, which it keeps on the hypergraph.  Over that
+unique, they fall in the stable order of the ranks.  The keys are sorted
+once per (hypergraph, j) and kept on the hypergraph, and one key array
+serves the decomposition, the witnesses and every lookup.  Equal
+neighbouring ranks link two edges through a shared j-set, and `_decompose`
+finds the components of that edge graph by hook-and-shortcut
+(`_least_connected`), reading a key's edge only at the links.
+`jset_lookup` maps a j-set to its edges by bisecting the keys.  Over that
 map one traversal, `walk`, serves the component search, coupling and the
 wheel search, `find_wheel`, a depth-first walk from any edge or j-set of a
 component; `_witnesses` runs it from each non-hypertree component's first
@@ -59,15 +59,14 @@ class Hypergraph:
     (an unsigned one is read as Python ints).  Either way the hypergraph
     keeps only one validated, read-only (m, k) array, `array` (int64, or
     object when a vertex passes the int64 range); `edges` builds the same
-    edges as tuples on each access.  `jset_lookup` keeps the sorted j-subset
-    keys of each j it is asked for on the hypergraph; equality and `repr`
-    ignore them, and a pickle carries them.
+    edges as tuples on each access.  The sorted j-subset keys of each j that
+    is decomposed or looked up are kept on the hypergraph; equality and
+    `repr` ignore them, and a pickle carries them.
     """
 
     def __init__(self, n: int, k: int, edges) -> None:
         self.n, self.k = n, k
-        # j -> `_sorted_keys(self, j)`, filled by `jset_lookup`
-        self._jset_keys: dict[int, np.ndarray] = {}
+        self._jset_keys: dict[int, np.ndarray] = {}  # j -> `_sorted_keys(self, j)`
         if isinstance(edges, np.ndarray) and edges.dtype.kind == "u":
             edges = edges.tolist()  # Python ints: uint64 past int64 takes the object path
         if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind == "i":
@@ -277,6 +276,8 @@ def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     # `colex_dtype` is), else object.  `rank_array`'s largest product,
     # i * C(x, i) <= j * C(n, min(j, n // 2)) with i <= j and x < n, is below
     # span for j <= n/2, as count >= C(k, j) > j, and is checked beyond.
+    if (keys := h._jset_keys.get(j)) is not None:
+        return keys
     _check_subsets(h.n, h.k, j)
     subsets = list(combinations(range(h.k), j))
     count = len(h.array) * len(subsets)
@@ -294,7 +295,17 @@ def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     keys *= count
     keys += np.arange(count, dtype=keys.dtype)
     keys.sort()
+    h._jset_keys[j] = keys
     return keys
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    # Per sorted key, whether it starts a run of equal ranks (a new j-set)
+    ranks = keys // len(keys)
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    return new
 
 
 def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]]]:
@@ -302,23 +313,16 @@ def jset_lookup(h: Hypergraph, j: int) -> Callable[[tuple], list[tuple[int, ...]
     containing it, as tuples in colex order.  It ranks the j-set exactly and
     bisects the sorted keys rank * count + row of every edge's j-subsets
     (count = len(keys) rows, C(k,j) per edge) in place, for the run
-    [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge.
-    The keys are sorted once per (h, j) and kept on `h`, 4 or 8 bytes per
-    j-subset (int32 or int64; object keys, past int64, bisect as a list).
+    [rank * count, (rank + 1) * count); key % count // C(k,j) is the edge,
+    the slice [e*k, e*k + k) of the flat C-contiguous `h.array`.  The keys
+    are those `_sorted_keys` keeps on `h`, 4 or 8 bytes per j-subset (int32
+    or int64, bisected through a memoryview of Python ints; object keys,
+    past int64, bisect as a list).
     """
-    if j not in h._jset_keys:
-        h._jset_keys[j] = _sorted_keys(h, j)
-    return _edges_of(h.array, h._jset_keys[j], math.comb(h.k, j))
-
-
-def _edges_of(array: np.ndarray, keys: np.ndarray, fan: int) -> Callable:
-    # `edges_of` over the sorted keys rank * count + row of `array`'s
-    # j-subsets, count = len(keys) rows and fan per edge: edge e is the slice
-    # [e*k, e*k + k) of the flat C-contiguous `array`.  Integer keys are bisected
-    # through a memoryview, whose items are Python ints; object keys as a list.
-    count, k = len(keys), array.shape[1]
+    keys = _sorted_keys(h, j)
+    count, k, fan = len(keys), h.k, math.comb(h.k, j)
     keys = keys.tolist() if keys.dtype == object else memoryview(keys)
-    rows, comb = array.reshape(-1), math.comb
+    rows, comb = h.array.reshape(-1), math.comb
 
     def edges_of(jset: tuple) -> list[tuple[int, ...]]:
         rank = 0
@@ -369,46 +373,39 @@ def j_components(
     C(n, j) minus the sum of the orders (the map's length).  The witnesses
     come from `_witnesses`, which `components` shares to print from columns.
     """
-    sizes, orders, flags, firsts, edge_cid, keys, new = _decompose(h, j)
-    witnesses = _witnesses(h, j, flags, firsts, keys)
+    sizes, orders, flags, firsts, edge_cid = _decompose(h, j)
+    witnesses = _witnesses(h, j, flags, firsts)
     summaries = list(map(ComponentSummary, range(len(sizes)), sizes.tolist(),
                          orders.tolist(), flags.tolist(), witnesses))
     # each distinct j-set's key, at the start of its run, and its first row
-    starts = keys[new]
+    keys = _sorted_keys(h, j)
+    starts = keys[_run_starts(keys)]
     first = (starts % len(keys)).astype(np.intp, copy=False)
     touch = np.argsort(first)
     jset_cid = edge_cid[first[touch] // math.comb(h.k, j)]
     return summaries, dict(zip((starts[touch] // len(keys)).tolist(), jset_cid.tolist()))
 
 
-def _witnesses(h: Hypergraph, j: int, flags, firsts, keys) -> list[Optional[Wheel]]:
+def _witnesses(h: Hypergraph, j: int, flags, firsts) -> list[Optional[Wheel]]:
     # Per component, a wheel walked from its first edge, or None for a hypertree,
-    # over one lookup of all the keys: a j-set's run lies in one component
-    edges_of = _edges_of(h.array, keys, math.comb(h.k, j))
+    # over one lookup: a j-set's run lies in one component
+    edges_of = jset_lookup(h, j)
     starts = iter(map(tuple, h.array[firsts[~flags]].tolist()))
     return [None if flag else find_wheel(edges_of, j, next(starts)) for flag in flags.tolist()]
 
 
 def _decompose(h: Hypergraph, j: int) -> tuple:
     # The j-components as columns: per component, in id order, its size,
-    # order, hypertree flag and first edge; per edge, its component id; and
-    # the sorted keys rank * count + row of every j-subset with, per key,
-    # whether it starts a run of equal ranks (a new j-set).  Equal
-    # neighbouring ranks are one j-set in two edges, a link, so a j-set in t
-    # edges gives t - 1 links, a size-s component has order C(k,j)*s minus
-    # its links, and it is a hypertree (order 1 + c0*s) iff its links number
-    # s - 1.  A key's edge, key % count // C(k,j), is read only at the links.
+    # order, hypertree flag and first edge; and per edge, its component id.
+    # Equal neighbouring ranks of the sorted keys are one j-set in two edges,
+    # a link, so a j-set in t edges gives t - 1 links, a size-s component has
+    # order C(k,j)*s minus its links, and it is a hypertree (order 1 + c0*s)
+    # iff its links number s - 1.  A key's edge, key % count // C(k,j), is
+    # read only at the links.
     keys = _sorted_keys(h, j)
     count, fan = len(keys), math.comb(h.k, j)
-    # where each distinct rank starts; the ranks are freed before the links
-    # are gathered, so that the two never share the peak
-    ranks = keys // count
-    new = np.empty(count, bool)
-    new[:1] = True
-    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
-    del ranks
     # a link joins the edges of a key that starts no run and of the key before it
-    at = np.flatnonzero(~new)
+    at = np.flatnonzero(~_run_starts(keys))
     v = (keys[at] % count).astype(np.intp, copy=False) // fan
     at -= 1
     u = (keys[at] % count).astype(np.intp, copy=False) // fan
@@ -420,7 +417,7 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     firsts = np.flatnonzero(is_root)
     sizes = np.bincount(edge_cid, minlength=len(firsts))
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
-    return sizes, orders, orders == 1 + (fan - 1) * sizes, firsts, edge_cid, keys, new
+    return sizes, orders, orders == 1 + (fan - 1) * sizes, firsts, edge_cid
 
 
 def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:

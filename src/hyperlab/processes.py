@@ -3,12 +3,12 @@
 The search explores one j-component of a hypergraph with a breadth-first
 `hypergraph.walk`, as `coupled_run` does to size it: popping a j-set looks
 its edges up with `hypergraph.jset_lookup`, popping a k-set activates its
-undiscovered j-subsets.  The lookup keeps its sorted keys on the hypergraph,
-so runs from many starts on one hypergraph sort them once.  The branching
-process mirrors the search but never skips: every type-j vertex queries all
-C(n-j, k-j) candidate k-sets independently with probability p, and each
-spawned type-k vertex attaches c0 = C(k,j) - 1 fresh type-j children
-(labels may repeat across the tree).
+undiscovered j-subsets.  The lookup reads the sorted keys kept on the
+hypergraph, so runs from many starts, and a decomposition before them, share
+one sort.  The branching process mirrors the search but never skips: every
+type-j vertex queries all C(n-j, k-j) candidate k-sets independently with
+probability p, and each spawned type-k vertex attaches c0 = C(k,j) - 1
+fresh type-j children (labels may repeat across the tree).
 
 `coupled_run` drives both from shared randomness: the first query of any
 k-set (by either process) is answered by the hypergraph's membership

@@ -83,15 +83,16 @@ def ks_distance(samples: list[int], pmf, one_sided: bool = False) -> float:
     return distance
 
 
-def top_record_tallies(n: int, k: int, j: int) -> dict[tuple, Counter]:
-    """The exact law of `run_trial`'s top-1 record (L1, the hypertree flag of
-    rank 1, the largest non-hypertree size) on H^k(n, p), as integer tallies:
-    per record, a_m hypergraphs with m edges give it, over all 2^E edge sets,
-    E = C(n, k), so P(record) = sum_m a_m p^m (1-p)^(E-m) at every p.
+def top_record_tallies(n: int, k: int, j: int, m: int = 1) -> dict[tuple, Counter]:
+    """The exact law of `run_trial`'s top-m record (L1..Lm, the hypertree
+    flags of ranks 1..m, the largest non-hypertree size) on H^k(n, p), as
+    integer tallies: per record, a_e hypergraphs with e edges give it, over
+    all 2^E edge sets, E = C(n, k), so P(record) = sum_e a_e p^e (1-p)^(E-e)
+    at every p.  Ranks past the last component read size 0 and flag None.
 
     Components are found by BFS over shared j-sets, apart from `_decompose`.
     Edges are taken in colex order, so components come in id order (each
-    one's id is its least edge) and rank 1 is the first of the largest.
+    one's id is its least edge) and equal sizes rank the smaller id first.
     """
     ksets = sorted(combinations(range(n), k), key=lambda e: e[::-1])
     jsets = [set(combinations(e, j)) for e in ksets]
@@ -99,7 +100,7 @@ def top_record_tallies(n: int, k: int, j: int) -> dict[tuple, Counter]:
     tallies = defaultdict(Counter)
     for mask in range(1 << len(ksets)):
         edges = [i for i in range(len(ksets)) if mask >> i & 1]
-        seen, top, nonhyp = set(), (0, None), 0
+        seen, comps, nonhyp = set(), [], 0
         for root in edges:
             if root in seen:
                 continue
@@ -112,9 +113,9 @@ def top_record_tallies(n: int, k: int, j: int) -> dict[tuple, Counter]:
                         seen.add(f)
                         queue.append(f)
             hypertree = len(order) == 1 + c0 * len(queue)
-            if len(queue) > top[0]:
-                top = (len(queue), hypertree)
+            comps.append((len(queue), hypertree))
             if not hypertree:
                 nonhyp = max(nonhyp, len(queue))
-        tallies[(*top, nonhyp)][len(edges)] += 1
+        sizes, flags = zip(*(sorted(comps, key=lambda c: -c[0]) + [(0, None)] * m)[:m])
+        tallies[(*sizes, *flags, nonhyp)][len(edges)] += 1
     return tallies

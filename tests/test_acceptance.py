@@ -24,8 +24,9 @@ from hyperlab.enumeration import (
     tj_series_fixed_point,
     wheel_bound_exact,
 )
-from hyperlab.experiments import csv_lines, run_experiment, run_trial
+from hyperlab.experiments import _top_ids, csv_lines, run_experiment, run_trial
 from hyperlab.hypergraph import (
+    _decompose,
     brute_force_wheel_census,
     find_wheel,
     j_components,
@@ -253,28 +254,54 @@ class TestC08DeskScaleStatisticalRun:
         print(f"ACCEPTANCE 8 (b: top-1 hypertree fraction): measured {frac:.4f}, requirement 0.95")
         assert frac is not None and frac >= 0.95
 
+    @staticmethod
+    def assert_top_records_in_law(k, j, p, m, records, stats):
+        # the observed top-m records against their exact law over all
+        # 2^C(5,k) hypergraphs at p: chi^2 below its 0.999 quantile
+        edges = math.comb(5, k)
+        law = {record: sum(a * p**e * (1 - p) ** (edges - e) for e, a in tally.items())
+               for record, tally in top_record_tallies(5, k, j, m).items()}
+        assert sum(law.values()) == pytest.approx(1.0, rel=1e-12)
+        observed = Counter(records)
+        assert set(observed) <= set(law)
+        chi2, threshold = chi2_pooled(law, observed, len(records))
+        stats.append(f"({k},{j}) {chi2:.1f}/{threshold:.1f}")
+        assert chi2 < threshold, stats[-1]
+
     def test_c08_top_record_exact_law_at_n5(self):
         # run_trial's top-1 record (L1, rank 1's hypertree flag, the largest
-        # non-hypertree) against its exact law over all 2^C(5,k) hypergraphs,
-        # for every (k, j) with k <= 4: chi^2 below its 0.999 quantile.
-        # Seeds trial_seed(515_000 + pair, t).
+        # non-hypertree).  Seeds trial_seed(515_000 + pair, t).
+        self.check_run_trial_records(1, 515_000)
+
+    def test_c08_top3_record_exact_law_at_n5(self):
+        # the top-3 record: L1..L3 and their flags.  Seeds trial_seed(516_000 + pair, t).
+        self.check_run_trial_records(3, 516_000)
+
+    def check_run_trial_records(self, m, base):
+        # run_trial's top-m record for every (k, j) with k <= 4, 2,000 trials each
         t0 = time.perf_counter()
-        trials, stats = 2_000, []
+        stats = []
         for pair, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]):
             params = TheoryParams(5, k, j, 0.3)
-            edges, p = math.comb(5, k), params.p
-            law = {record: sum(a * p**m * (1 - p) ** (edges - m) for m, a in tally.items())
-                   for record, tally in top_record_tallies(5, k, j).items()}
-            assert sum(law.values()) == pytest.approx(1.0, rel=1e-12)
-            observed = Counter()
-            for t in range(trials):
-                r = run_trial(params, trial_seed(515_000 + pair, t), 1)
-                observed[r.sizes[0], r.hypertree[0], r.largest_nonhypertree] += 1
-            assert set(observed) <= set(law)
-            chi2, threshold = chi2_pooled(law, observed, trials)
-            stats.append(f"({k},{j}) {chi2:.1f}/{threshold:.1f}")
-            assert chi2 < threshold, stats[-1]
-        _report(8, "top-1 record in exact law at n=5", t0, 30, " ".join(stats))
+            records = [(*r.sizes, *r.hypertree, r.largest_nonhypertree) for r in (
+                run_trial(params, trial_seed(base + pair, t), m) for t in range(2_000))]
+            self.assert_top_records_in_law(k, j, params.p, m, records, stats)
+        _report(8, f"top-{m} record in exact law at n=5", t0, 30, " ".join(stats))
+
+    def test_c08_top3_record_exact_law_supercritical(self):
+        # (5,3,2) at p = 1.5 p0, past TheoryParams' subcritical range, so the
+        # record is read from the columns run_trial reads.  Seeds trial_seed(517_000, t).
+        t0 = time.perf_counter()
+        p, records = 1.5 * TheoryParams(5, 3, 2, 0.3).p0, []
+        for t in range(2_000):
+            sizes, _, flags, *_ = _decompose(sample(5, 3, p, trial_seed(517_000, t)), 2)
+            top = _top_ids(sizes, 3)
+            pad = 3 - len(top)
+            records.append((*sizes[top].tolist(), *(0,) * pad, *flags[top].tolist(),
+                            *(None,) * pad, int(sizes[~flags].max(initial=0))))
+        stats = []
+        self.assert_top_records_in_law(3, 2, p, 3, records, stats)
+        _report(8, "top-3 record in exact law at n=5, p=1.5 p0", t0, 30, " ".join(stats))
 
     def test_c08c_order_identity_exact(self, accept_run):
         records, _, _ = accept_run

@@ -21,7 +21,8 @@ from hyperlab.enumeration import (brute_force_Bs, exp_reciprocal_bounds, expecte
                                   laplace_sum_check, tj_series_fixed_point)
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.experiments import check_edge_budget
-from hyperlab.hypergraph import Wheel, j_components, read_hypergraph, sample, write_hypergraph
+from hyperlab.hypergraph import (Hypergraph, Wheel, j_components, read_hypergraph, sample,
+                                 write_hypergraph)
 from hyperlab.processes import branching_with_rate
 from hyperlab.rng import trial_seed
 
@@ -144,7 +145,7 @@ class TestComponents:
         # never calls j_components, builds no j-set dict and sorts the j-subsets once
         h = sample(24, 3, 3 / (2 * math.comb(22, 1)), trial_seed(1605, 0))
         path = self.write(tmp_path, write_hypergraph(h))
-        sorts = mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys)
+        sorts = mock.patch.object(hypergraph, "rank_array", wraps=hypergraph.rank_array)
         dicts = mock.patch.object(hypergraph, "dict", create=True, wraps=dict)
         whole = [mock.patch.object(module, "j_components", create=True, side_effect=AssertionError)
                  for module in (hypergraph, cli)]
@@ -171,6 +172,12 @@ class TestComponents:
         f.write_bytes(b"5 3 1\n1 2 \xff\n")
         code, _, err = run_cli(capsys, "components", "--in", str(f), "--j", "2")
         assert code == 1 and err.startswith("error:")
+
+    def test_read_hypergraph_equals_only_hypergraphs(self):
+        h = read_hypergraph("5 3 1\n1 2 3\n")
+        assert h.__eq__(((1, 2, 3),)) is NotImplemented
+        assert h != ((1, 2, 3),) and h != "5 3 1\n1 2 3\n"
+        assert h == Hypergraph(5, 3, [(1, 2, 3)]) != Hypergraph(6, 3, [(1, 2, 3)])
 
 
 class TestEnumerate:
@@ -255,6 +262,14 @@ class TestBounds:
             code, out, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "8", "--k", "3",
                                      "--j", "2", "--ell", ell)
             assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_wheel_float_edge(self, capsys):
+        # 16 * 6^(ell-1) / ell at (4,3,1): the log lets both through, and float(bound) decides
+        base = ["bounds", "--which", "wheel", "--n", "4", "--k", "3", "--j", "1", "--ell"]
+        code, out, err = run_cli(capsys, *base, "399")
+        assert code == 1 and out == "" and err == "error: the wheel bound is past the float range\n"
+        code, out, err = run_cli(capsys, *base, "398")
+        assert code == 0 and err == "" and out == "c_w=1/1\nwheel_bound=3.390652739e+307\n"
 
     def test_wheel_huge_n_refused_before_the_binomial(self, capsys):
         # C(10^4000 - 2, 1000) has about 4 million digits; the summed log refuses first

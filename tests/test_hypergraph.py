@@ -367,14 +367,15 @@ class TestJComponents:
 
     def test_cap_is_per_edge_not_per_sample(self, monkeypatch):
         # the edge budget bounds m: a template of C(4, 3) * 3 = 12 cells
-        # passes a cap of 12 however many edges share it
+        # passes a cap of 12 however many edges share it; the cap is checked
+        # where the keys are built, so the second call takes a fresh hypergraph
         h = sample(12, 4, 1.0, 0)
         monkeypatch.setattr(hypergraph, "MAX_TEMPLATE_CELLS", 12)
         comps, _ = j_components(h, 3)
         assert [c.size for c in comps] == [495]
         monkeypatch.setattr(hypergraph, "MAX_TEMPLATE_CELLS", 11)
         with pytest.raises(ResourceLimitError):
-            j_components(h, 3)
+            j_components(Hypergraph(h.n, h.k, h.array), 3)
 
     def test_sizes_partition_edges(self):
         params = TheoryParams(40, 3, 2, 0.3)
@@ -694,9 +695,10 @@ class TestDecompositionMemory:
     @pytest.mark.parametrize("n, k, j", [(1000, 3, 2), (200, 4, 3)])
     def test_peak_stays_within_three_and_a_half_key_arrays(self, n, k, j):
         # the sorted keys and their run starts, with no gathered copy of the
-        # edges, no row column and no filtered j-set map columns
+        # edges, no row column and no filtered j-set map columns; the keys are
+        # sized on a copy, so that `_decompose` still sorts inside the window
         h = sample(n, k, TheoryParams(n, k, j, 0.3).p, trial_seed(5, 0))
-        keys = hypergraph._sorted_keys(h, j)
+        keys = hypergraph._sorted_keys(Hypergraph(h.n, h.k, h.array), j)
         tracemalloc.start()
         try:
             hypergraph._decompose(h, j)
@@ -753,7 +755,7 @@ class TestJsetLookup:
 
     def test_sorts_once_per_j(self):
         h = sample(30, 3, 0.02, 8)
-        with mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys) as sorts:
+        with mock.patch.object(hypergraph, "rank_array", wraps=hypergraph.rank_array) as sorts:
             self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
             self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
             assert sorts.call_count == 1
@@ -763,10 +765,12 @@ class TestJsetLookup:
             assert sorts.call_count == 2
         assert h._jset_keys.keys() == {1, 2}
 
-    def test_decomposition_stores_no_keys(self):
+    def test_decomposition_and_lookup_share_one_sort(self):
         h = sample(30, 3, 0.02, 8)
-        j_components(h, 2)
-        assert h._jset_keys == {}
+        with mock.patch.object(hypergraph, "rank_array", wraps=hypergraph.rank_array) as sorts:
+            j_components(h, 2)
+            self.assert_matches_scan(h, 2, combinations(range(1, 31), 2))
+        assert sorts.call_count == 1 and h._jset_keys.keys() == {2}
 
     def test_stored_keys_leave_equality_repr_and_pickle(self):
         h = sample(30, 3, 0.02, 8)
@@ -916,7 +920,7 @@ class TestFindWheel:
         for edges in (two_wheels, [(1, 2, 3), (2, 3, 4)]):
             h = Hypergraph(9, 3, edges)
             lookups = mock.patch.object(hypergraph, "jset_lookup", wraps=hypergraph.jset_lookup)
-            sorts = mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys)
+            sorts = mock.patch.object(hypergraph, "rank_array", wraps=hypergraph.rank_array)
             with lookups as lookup_spy, sorts as sort_spy:
                 comps, _ = j_components(h, 2)
             assert lookup_spy.call_count <= 1

@@ -310,20 +310,20 @@ class TestCoupling:
             coupled_run(h, params, (1, 2), 0)
 
     def test_one_sort_across_starts(self):
-        # c04's (1000, 3, 2) sample: every start after the first reuses the keys
+        # c04's (1000, 3, 2) sample: every start reuses the decomposition's keys
         params = TheoryParams(1000, 3, 2, 0.3)
         h = sample(params.n, params.k, params.p, trial_seed(700, 0))
         comps, jmap = j_components(h, 2)
         edges = h.edges
         starts = [e[:2] for e in edges[::len(edges) // 25]] + [(999, 1000)]
-        with mock.patch.object(hypergraph, "_sorted_keys", wraps=hypergraph._sorted_keys) as sorts:
+        with mock.patch.object(hypergraph, "rank_array", wraps=hypergraph.rank_array) as sorts:
             for i, start in enumerate(starts):
                 comp, branch = coupled_run(h, params, start, trial_seed(800, i))
                 cid = jmap.get(rank_subset(start, params.n))
                 assert comp == (0 if cid is None else comps[cid].size) <= branch
             trace = search_component(h, 2, starts[0])
         assert trace.size == comps[jmap[rank_subset(starts[0], params.n)]].size
-        assert len(starts) == 27 and sorts.call_count == 1
+        assert len(starts) == 27 and sorts.call_count == 0
 
     @pytest.mark.parametrize("cap", [processes.DEFAULT_CAP, 5])
     def test_each_jset_looked_up_once(self, monkeypatch, cap):
