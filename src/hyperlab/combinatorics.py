@@ -114,13 +114,14 @@ def unrank_subset(rank: int, size: int, n: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def colex_dtype(n: int, size: int) -> type:
     """Array dtype for the colex arithmetic of size-subsets of [1, n].
 
     int64 while every C(x, i) with x <= n and i <= size, times size, stays
     below 2**62, so that ranks, binomial tables and the products inside
     `_comb_array` and `rank_array` cannot overflow; object (exact Python
-    ints) beyond that.
+    ints) beyond that.  The last 64 answers are kept.
     """
     fits = comb_at_most(n, min(size, n // 2), (2**62 - 1) // max(size, 1))
     return object if fits is None else np.int64
@@ -148,10 +149,7 @@ def rank_array(rows: np.ndarray, subsets, dtype: type) -> np.ndarray:
     (x_c - i) // (i + 1), and each is added to every subset holding the
     column at that position, so no subset of a row is gathered.
     """
-    holders: dict[int, dict[int, list[int]]] = {}  # column -> position -> subsets
-    for s, sub in enumerate(subsets):
-        for i, c in enumerate(sub, start=1):
-            holders.setdefault(c, {}).setdefault(i, []).append(s)
+    holders = _holders(tuple(map(tuple, subsets)))
     x = rows.astype(dtype, copy=False) - 1
     out = np.zeros((len(rows), len(subsets)), dtype)
     # views: `+=` on one skips the write-back that `out[:, s] += ...` makes
@@ -164,6 +162,17 @@ def rank_array(rows: np.ndarray, subsets, dtype: type) -> np.ndarray:
             for s in at.get(i, ()):
                 ranks[s] += comb
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _holders(subsets: tuple) -> dict[int, dict[int, list[int]]]:
+    # column -> position -> the subsets holding that column there, for
+    # `rank_array`; the last 8 maps built are kept
+    holders: dict[int, dict[int, list[int]]] = {}
+    for s, sub in enumerate(subsets):
+        for i, c in enumerate(sub, start=1):
+            holders.setdefault(c, {}).setdefault(i, []).append(s)
+    return holders
 
 
 @functools.lru_cache(maxsize=16)
@@ -197,7 +206,9 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
         if i == 2 < size and dtype is np.int64:
             root = np.sqrt(rem * 2.0 + 0.25)
             root += 0.5
-            a = np.clip(root.astype(np.int64), 1, n - 1)
+            a = root.astype(np.int64)
+            np.maximum(a, 1, out=a)
+            np.minimum(a, n - 1, out=a)
             a -= table[a] > rem
             up = np.minimum(a + 1, n - 1)
             a = np.where(table[up] <= rem, up, a)

@@ -32,9 +32,9 @@ from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_EDGE_BUDGET = 5_000_000
 # Largest trial count and top-m rank count: a run holds trials * m ranks in
-# memory, and MAX_TRIALS (250, 3, 2) trials take 56-70 s on one worker, at
-# the 0.56-0.70 ms per trial of `run_experiment` measured on two shared cores
-# (Python 3.11, numpy 2.4).
+# memory, and MAX_TRIALS (250, 3, 2) trials take 47-51 s on one worker, at
+# the 0.47-0.51 ms per trial of `run_experiment` that perfbench's `accept`
+# workload measured on two shared cores (Python 3.11, numpy 2.4).
 MAX_TRIALS = 100_000
 MAX_M = 100
 # informational cutoff for "large" asymptotic proxies reported in summaries
@@ -126,7 +126,7 @@ def _top_ids(sizes: np.ndarray, m: int) -> np.ndarray:
     # but sorting only the sizes at least the m-th largest, found by a partition
     kth = len(sizes) - m
     cut = np.partition(sizes, kth)[kth] if kth > 0 else 0
-    cand = np.flatnonzero(sizes >= cut)
+    cand = (sizes >= cut).nonzero()[0]
     return cand[np.argsort(-sizes[cand], kind="stable")[:m]]
 
 

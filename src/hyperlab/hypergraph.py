@@ -40,7 +40,7 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterator, Optional
 
@@ -149,7 +149,9 @@ MAX_TABLE_CELLS = 1 << 22
 # C(k, j) ranks per edge of a hypergraph are bounded by the edge budget.
 # The template is built as Python objects, about 600 B per subset (at j = 1,
 # C(k, 1) = 2^18 subsets peak at 190 MiB RSS), so the cap keeps it near
-# 70 MiB; the largest template in use is 60 cells, at (k, j) = (6, 3).
+# 70 MiB; the largest template in use is 60 cells, at (k, j) = (6, 3).  The
+# last 8 templates and their `rank_array` holder maps are kept, under 30 MiB
+# each at the cap.
 MAX_TEMPLATE_CELLS = 1 << 16
 
 
@@ -178,6 +180,8 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
         ranks = np.arange(total, dtype=dtype)
     else:
         ranks = _edge_ranks(total, p, make_generator(seed), dtype)
+        if not len(ranks):  # no rank fell below C(n, k)
+            return Hypergraph(n, k, ())
     return Hypergraph(n, k, unrank_array(ranks, k, n))
 
 
@@ -194,17 +198,23 @@ def _edge_ranks(total: int, p: float, rng: np.random.Generator, dtype: type) -> 
         expect = min(total - 1 - last, 2**1000) * p
         u = rng.random(min(_BLOCK, int(expect + 4 * math.sqrt(expect)) + 16))
         with np.errstate(over="ignore", invalid="ignore"):  # inf for subnormal p, capped below
-            q = np.log1p(-u) / log1mp
+            q = np.negative(u)
+            np.log1p(q, out=q)
+            q /= log1mp
             # np.log1p can differ from math.log1p in the last ulp; recompute
             # every quotient close enough to an integer for that to move its floor
-            near = np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-9 * q)
-        q[near] = [math.log1p(-x) / log1mp for x in u[near].tolist()]
+            off = np.rint(q)
+            off -= q
+            np.abs(off, out=off)
+            near = (off <= 1e-9 * q).nonzero()[0]
+        if len(near):
+            q[near] = [math.log1p(-x) / log1mp for x in u[near].tolist()]
         # below the cap the int64 gaps are exact, and a capped gap passes total
-        q = np.minimum(q, cap)
+        np.minimum(q, cap, out=q)
         gaps = (q.astype(np.int64) if dtype is np.int64 else np.floor(q.astype(object))) + 1
         # int64 sums may wrap only after they pass total, and are cut there
-        ranks = last + np.cumsum(gaps)
-        past = np.flatnonzero(ranks >= total)
+        ranks = last + gaps.cumsum()
+        past = (ranks >= total).nonzero()[0]
         if past.size:
             blocks.append(ranks[:past[0]])
             return np.concatenate(blocks)
@@ -237,19 +247,20 @@ def _first_invalid_edge(edges, n: int, k: int) -> tuple[int, np.ndarray]:
             e = np.fromiter(flat[:end * k], np.int64, end * k).reshape(end, k)
         except OverflowError:  # beyond int64: compare as Python ints
             e = np.array(flat[:end * k], dtype=object).reshape(end, k)
-    ok = e[:, 0] >= 1
+    cols = e.T.copy()  # one contiguous row per column
+    ok = cols[0] >= 1
     for c in range(1, k):
-        ok &= e[:, c] > e[:, c - 1]
-    ok &= e[:, -1] <= n
+        ok &= cols[c] > cols[c - 1]
+    ok &= cols[-1] <= n
     end = _first_false(ok)
     # colex order: at the highest position where consecutive edges differ,
     # the later edge holds the larger vertex; `tied` marks the pairs equal
     # on every column above c
-    a, b = e[:end][:-1], e[:end][1:]
-    later, tied = np.zeros(len(a), bool), np.ones(len(a), bool)
+    a, b = cols[:, :end][:, :-1], cols[:, 1:end]
+    later, tied = np.zeros(a.shape[1], bool), np.ones(a.shape[1], bool)
     for c in range(k - 1, -1, -1):
-        later |= tied & (b[:, c] > a[:, c])
-        tied &= b[:, c] == a[:, c]
+        later |= tied & (b[c] > a[c])
+        tied &= b[c] == a[c]
     return min(end, 1 + _first_false(later)), e
 
 
@@ -266,6 +277,12 @@ def _check_subsets(n: int, k: int, j: int) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _subsets(k: int, j: int) -> tuple[tuple[int, ...], ...]:
+    # the j-subsets of range(k) in `combinations` order; the last 8 are kept
+    return tuple(combinations(range(k), j))
+
+
 def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     # Every edge's j-subsets as keys rank * count + row, sorted by value, where
     # count = len(keys) is the number of rows: row e*C(k,j) + i is edge e's
@@ -279,7 +296,7 @@ def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     if (keys := h._jset_keys.get(j)) is not None:
         return keys
     _check_subsets(h.n, h.k, j)
-    subsets = list(combinations(range(h.k), j))
+    subsets = _subsets(h.k, j)
     count = len(h.array) * len(subsets)
     dtype = colex_dtype(h.n, j)
     if dtype is np.int64:  # else C(n, j) is too large to form cheaply
@@ -402,19 +419,25 @@ def _decompose(h: Hypergraph, j: int) -> tuple:
     # order C(k,j)*s minus its links, and it is a hypertree (order 1 + c0*s)
     # iff its links number s - 1.  A key's edge, key % count // C(k,j), is
     # read only at the links.
+    if not len(h.array):  # no component, and no keys to build past the template's check
+        _check_subsets(h.n, h.k, j)
+        empty = np.zeros(0, np.intp)
+        return empty, empty, np.zeros(0, bool), empty, empty
     keys = _sorted_keys(h, j)
     count, fan = len(keys), math.comb(h.k, j)
     # a link joins the edges of a key that starts no run and of the key before it
-    at = np.flatnonzero(~_run_starts(keys))
+    at = (~_run_starts(keys)).nonzero()[0]
     v = (keys[at] % count).astype(np.intp, copy=False) // fan
     at -= 1
     u = (keys[at] % count).astype(np.intp, copy=False) // fan
     del at
-    # each root is its component's first edge; ids number the roots in edge order
+    # each root is its component's first edge; ids number the roots in edge
+    # order, scattered over the roots, the only entries `root` reads
     root = _least_connected(u, v, len(h.array))
-    is_root = root == np.arange(len(root))
-    edge_cid = (np.cumsum(is_root) - 1)[root]
-    firsts = np.flatnonzero(is_root)
+    ids = np.arange(len(root))
+    firsts = (root == ids).nonzero()[0]
+    ids[firsts] = np.arange(len(firsts))
+    edge_cid = ids[root]
     sizes = np.bincount(edge_cid, minlength=len(firsts))
     orders = fan * sizes - np.bincount(edge_cid[u], minlength=len(sizes))
     return sizes, orders, orders == 1 + (fan - 1) * sizes, firsts, edge_cid
@@ -428,13 +451,18 @@ def _least_connected(u: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     # roots, so the last root standing is the component's least edge.  The
     # first round hooks each v onto its least u directly, as every node is
     # its own root and `_decompose` gives u < v (other links wait a round).
+    # A link whose ends share a root stays so, and only the others hook again.
     parent = np.arange(count)
+    if not len(u):
+        return parent
     np.minimum.at(parent, v, u)
     while True:
         parent = _flatten(parent)
         pu, pv = parent[u], parent[v]
-        if (pu == pv).all():
+        apart = (pu != pv).nonzero()[0]
+        if not len(apart):
             return parent
+        u, v, pu, pv = u[apart], v[apart], pu[apart], pv[apart]
         np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
 
 
@@ -443,11 +471,11 @@ def _flatten(parent: np.ndarray) -> np.ndarray:
     # pointer jumping over all nodes while over a quarter of them move, then
     # over the movers alone until each one's parent is a root.
     grand = parent[parent]
-    moved = np.flatnonzero(grand != parent)
+    moved = (grand != parent).nonzero()[0]
     while 4 * len(moved) > len(parent):
         parent = grand
         grand = parent[parent]
-        moved = np.flatnonzero(grand != parent)
+        moved = (grand != parent).nonzero()[0]
     up = grand[moved]
     while len(moved):
         parent[moved] = up

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -6,6 +7,17 @@ import pytest
 
 from hyperlab.experiments import ExperimentConfig, csv_lines, run_experiment
 from hyperlab.processes import SearchTrace
+
+# this checkout's package source, which pytest's `pythonpath` puts on sys.path
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a child interpreter, with `extra` set and SRC first
+    on its PYTHONPATH, so that it imports the same hyperlab as the tests."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, **extra, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
 
 # the fixed desk-scale configurations used by the acceptance suite
 ACCEPT_CONFIG = ExperimentConfig(

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import io
 import math
-import os
 import re
 import resource
 import subprocess
@@ -25,6 +24,7 @@ from hyperlab.hypergraph import (Hypergraph, Wheel, j_components, read_hypergrap
                                  write_hypergraph)
 from hyperlab.processes import branching_with_rate
 from hyperlab.rng import trial_seed
+from tests.conftest import child_env
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +280,16 @@ class TestBounds:
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith("error:") and "past the float range" in err
 
+    def test_wheel_past_range_refused_before_the_exact_constant(self, capsys):
+        # the exact c_w at (k, j) = (1000, 300) takes about 0.35 s; the summed log
+        # refuses first, and prints the exact log's digits
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "1000",
+                                 "--k", "1000", "--j", "300", "--ell", "1000")
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and out == ""
+        assert err == "error: the wheel bound, e^608154, is past the float range\n"
+
     def test_rs_beyond_float_range_exits_one(self, capsys):
         # Rs lowers the (1-p) exponent by s(1 + c0); at (3,3,2) it turns negative
         for base in (["--n", "3", "--k", "3", "--j", "2", "--epsilon", "0.3", "--s", "1000"],
@@ -418,11 +428,12 @@ def test_gen_components_and_experiment_exit_cleanly(tmp_path, data):
 # Each refusal runs in a child process under a 2 GiB address-space cap, so a
 # runaway exact product fails fast instead of filling memory (one BLAS or
 # OpenMP thread keeps numpy's own reservation small), and the subprocess
-# timeout catches a hang.  A child that cannot import hyperlab under the cap
-# exits with IMPORT_FAILED and the case is skipped.
+# timeout catches a hang.  A child that runs out of memory importing hyperlab
+# under the cap exits with IMPORT_FAILED and the case is skipped; any other
+# import error fails the case.
 IMPORT_FAILED = 99
 CHILD = ("import sys\ntry:\n    from hyperlab.cli import main\n"
-         f"except Exception:\n    sys.exit({IMPORT_FAILED})\n"
+         f"except MemoryError:\n    sys.exit({IMPORT_FAILED})\n"
          "sys.exit(main(sys.argv[1:]))\n")
 BIG, HUGE = HUGE_INTS[:2]
 EXP = ["experiment", "--n", "40", "--k", "3", "--j", "2", "--epsilon", "0.3"]
@@ -469,7 +480,7 @@ def test_huge_arguments_refused_without_hanging(name, tmp_path):
     argv = [a.format(header=tmp_path / "h.txt", out=tmp_path / "out.txt") for a in argv]
     threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
-                          timeout=30, preexec_fn=_cap_address_space, env={**os.environ, **threads})
+                          timeout=30, preexec_fn=_cap_address_space, env=child_env(**threads))
     if proc.returncode == IMPORT_FAILED:
         pytest.skip("hyperlab does not import under a 2 GiB address-space cap")
     assert proc.returncode == expected and proc.stdout == ""
@@ -707,6 +718,7 @@ def test_module_entrypoint_smoke(tmp_path):
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("5 3 10\n")
@@ -714,7 +726,7 @@ def test_module_entrypoint_smoke(tmp_path):
 
 def test_module_entrypoint_refusal_prints_one_error_line():
     proc = subprocess.run([sys.executable, "-m", "hyperlab", "bounds", "--which", "wheel"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
@@ -780,7 +792,8 @@ def test_trial_imports_neither_scipy_nor_networkx():
         "run_trial(TheoryParams(250, 3, 2, 0.3), 1, 3)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -789,7 +802,8 @@ def test_package_import_leaves_numpy_random_unloaded():
     # numpy.random slows the package's import by half or more; make_generator
     # loads it on first use, so an import alone must not
     code = "import sys\nimport hyperlab\nprint('numpy.random' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
@@ -803,6 +817,7 @@ def test_trial_imports_no_process_pool():
         "run_trial(TheoryParams(250, 3, 2, 0.3), 1, 3)\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

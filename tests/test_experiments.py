@@ -1,3 +1,4 @@
+import hashlib
 import math
 from operator import attrgetter
 
@@ -160,6 +161,26 @@ class TestColumnarTrial:
             assert colex_dtype(n, 2) is object
         for m in (1, 2, 5):
             assert run_trial(params, 7, m) == record_from_summaries(h, 2, 7, m)
+
+    # sha256 of the records below, which the exits for edgeless and linkless
+    # trials must leave as the full decomposition writes them
+    TINY_DIGEST = "9a9313e6f83137056f75d7aa498617330246e25b827749d004a8842ced02df77"
+
+    def test_tiny_n_records_pinned(self):
+        # run_trial's top-3 records at n = 5 and 6 for every (k, j) with k <= 4,
+        # 300 trials each on seeds trial_seed(530_000 + 10 n + pair, t), which no
+        # other check uses; many hold no edge or no link, so the early exits decide them
+        parts, edgeless, linkless = [], 0, 0
+        for n in (5, 6):
+            for pair, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]):
+                params = TheoryParams(n, k, j, 0.3)
+                records = [run_trial(params, trial_seed(530_000 + 10 * n + pair, t), 3, t)
+                           for t in range(300)]
+                edgeless += sum(r.edges == 0 for r in records)
+                linkless += sum(r.edges > 1 and r.sizes[0] == 1 for r in records)
+                parts.append(repr(records))
+        assert edgeless > 0 and linkless > 0
+        assert hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest() == self.TINY_DIGEST
 
 
 class TestTopIds:
