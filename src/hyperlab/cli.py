@@ -202,14 +202,8 @@ def _cmd_bounds(args) -> int:
         _require(args, ["n", "k", "j", "ell"])
         n, k, j, ell = args.n, args.k, args.j, args.ell
         # refuse from the bound's log before the exact power of 1/p0 is formed;
-        # near the edge float(bound) decides.  The log summed without the exact
-        # c_w lies within 1e-9 of the exact one, so it decides alone where every
-        # value within 1e-6 of it is past the limit and prints alike
-        limit = math.log(sys.float_info.max) + 1
-        rough = log_wheel_bound(n, k, j, ell, exact=False)
-        low, high = rough - 1e-6, rough + 1e-6
-        clear = low > limit and f"{low:.6g}" == f"{high:.6g}"
-        if (log_bound := rough if clear else log_wheel_bound(n, k, j, ell)) > limit:
+        # near the edge float(bound) decides
+        if (log_bound := log_wheel_bound(n, k, j, ell)) > math.log(sys.float_info.max) + 1:
             raise ValidationError(f"the wheel bound, e^{log_bound:.6g}, is past the float range")
         cw, bound = wheel_bound_exact(n, k, j, ell)
         lines = [f"c_w={_frac(cw)}",

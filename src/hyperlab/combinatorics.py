@@ -71,6 +71,8 @@ def _validate_subset(s, n: int) -> None:
         if not isinstance(v, int):
             raise ValidationError(f"subset elements must be integers, got {v!r}")
         if v <= prev:
+            if v < 1:
+                raise ValidationError(f"subset element {v} is below 1")
             raise ValidationError(f"subset must be sorted ascending without duplicates: {list(s)}")
         prev = v
     if prev > n:

@@ -249,6 +249,14 @@ class TestBounds:
             )
             assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_unicycle_forms_no_exact_constant(self, capsys):
+        # the unicycle bound reads the wheel bound's summed log, not the exact c_w (0.35 s here)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "--which", "unicycle", "--n", "1000",
+                                 "--k", "1000", "--j", "300", "--epsilon", "0.3", "--s", "1024")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out, err) == (0, "log_unicycle_bound=624978.2473\n", "")
+
     def test_unicycle_beyond_float_range_exits_one(self, capsys):
         # C(n-j, k-j) = C(99999, 199) does not fit in a float, so p0 cannot be formed
         code, _, err = run_cli(
@@ -281,8 +289,8 @@ class TestBounds:
         assert err.startswith("error:") and "past the float range" in err
 
     def test_wheel_past_range_refused_before_the_exact_constant(self, capsys):
-        # the exact c_w at (k, j) = (1000, 300) takes about 0.35 s; the summed log
-        # refuses first, and prints the exact log's digits
+        # the exact c_w at (k, j) = (1000, 300) takes about 0.35 s; the log, which sums
+        # log c_w over its factors, refuses before it is formed
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "bounds", "--which", "wheel", "--n", "1000",
                                  "--k", "1000", "--j", "300", "--ell", "1000")

@@ -352,12 +352,13 @@ class TestWheelBound:
             assert log_wheel_bound(n, k, j, ell) == pytest.approx(log_exact, rel=1e-12)
 
     def test_summed_log_matches_exact_log(self):
-        # log c_w summed over its factors, against the log of the exact c_w
+        # log c_w summed over its factors, against the log of the exact bound
         pairs = [(k, j) for k in range(2, 30) for j in range(1, k)] + [(700, 350), (3000, 2)]
         for k, j in pairs:
             for n, ell in ((k, 2), (10 * k + 7, 5)):
-                exact = log_wheel_bound(n, k, j, ell)
-                assert abs(log_wheel_bound(n, k, j, ell, exact=False) - exact) < 1e-9
+                _, bound = wheel_bound_exact(n, k, j, ell)
+                exact = math.log(bound.numerator) - math.log(bound.denominator)
+                assert abs(log_wheel_bound(n, k, j, ell) - exact) < 1e-9
 
 
 class TestLaplace:

@@ -238,6 +238,8 @@ class TestArrayValidation:
             (((1, 2, 3.0),), "subset elements must be integers, got 3.0"),
             (((1, np.int64(2), 3),), f"subset elements must be integers, got {np.int64(2)!r}"),
             (((1, 3, 2),), "subset must be sorted ascending without duplicates: [1, 3, 2]"),
+            (((-1, 2, 3),), "subset element -1 is below 1"),
+            (((0, 1, 2),), "subset element 0 is below 1"),
             (((1, 2, 2**64),), f"subset element {2**64} exceeds n=5"),
             (((1, 2, 4), (1, 2, 3)), "edges must be distinct and sorted by colex rank near (1, 2, 3)"),
         ]
