@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import MISSING, fields
 from fractions import Fraction
@@ -56,7 +57,12 @@ _REQUIRED = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
 class _Parser(argparse.ArgumentParser):
-    # route argparse failures through the validation exit code
+    # route argparse failures through the validation exit code; an argument
+    # starting as a float literal (-1e-3, -.5, -inf, -nan) is a flag's value
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message: str):
         raise ValidationError(message)
 
@@ -272,12 +278,8 @@ def _cmd_experiment(args) -> int:
     if config.trials < 30:
         print("comparison skipped: needs >= 30 trials")
         return EXIT_OK
-    verdict = compare_to_theory(
-        summary,
-        records,
-        spread_width=args.spread_width,
-        hypertree_threshold=args.hypertree_threshold,
-    )
+    verdict = compare_to_theory(summary, records, spread_width=args.spread_width,
+                                hypertree_threshold=args.hypertree_threshold)
     for crit in verdict.criteria:
         print(f"criterion {crit.name}: {'PASS' if crit.passed else 'FAIL'} ({crit.detail})")
     return EXIT_OK if verdict.passed else EXIT_COMPARISON

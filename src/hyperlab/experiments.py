@@ -285,9 +285,7 @@ def csv_lines(records: list[TrialRecord]) -> str:
 
 
 def _fmt(x: Optional[float]) -> str:
-    if x is None:
-        return "null"
-    return f"{x:.10g}"
+    return "null" if x is None else f"{x:.10g}"
 
 
 def machine_block(summary: ExperimentSummary) -> str:

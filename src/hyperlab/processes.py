@@ -16,8 +16,9 @@ indicator, repeat queries by the branching process draw fresh Bernoulli(p)
 outcomes.  Every k-set the search discovers is in the hypergraph, so its
 first query created a branching vertex with that label; distinct labels
 give distinct vertices, hence branching size >= component size on every
-run, not merely in expectation.  A run memoizes the lookup for its length, so
-the walk that sizes the component rereads what the first queries fetched.
+run, not merely in expectation.  A run memoizes the lookup, and the walk that
+sizes the component rereads the memo; "queried before" is one disjointness
+test on the memo's keys, and fresh edges keep the lookup's colex order.
 
 `branching_with_rate` and `coupled_run` grow their trees in one
 breadth-first loop; they differ only in the rule that turns one pop's
@@ -180,10 +181,11 @@ def coupled_run(
     truncated at `cap`, which cannot shrink it below the cap).
 
     A k-set has been queried before iff one of its j-subsets was already
-    expanded, so the first-query bookkeeping tracks expanded labels only: a
-    plain dict memo, kept for this call alone, maps each to its edge list
-    (memory of the order of the tree's size), so each j-set is looked up
-    once; the walk looks up only j-sets a truncated run never reached.
+    expanded: one disjointness test against the keys of a plain dict memo,
+    kept for this call alone, that maps each expanded label to its edges in
+    the lookup's colex order, the order fresh edges spawn in (memory of the
+    order of the tree's size).  Each j-set is looked up once; the walk looks
+    up only j-sets a truncated run never reached.
     """
     j = params.j
     start = _validate_jset(start, h.n, j)
@@ -195,19 +197,16 @@ def coupled_run(
     def edges_of(jset: tuple[int, ...]) -> list[tuple[int, ...]]:
         return expanded[jset] if jset in expanded else lookup(jset)
 
-    def queried_before(klabel: tuple[int, ...]) -> bool:
-        return any(sub in expanded for sub in combinations(klabel, j))
-
     def first_query_rule(jlabel, hits):
         # A first query is answered by membership: present edges never queried
         # spawn, and absent k-sets do not, whatever their draw.  A repeat query
-        # keeps its Bernoulli(p) hit.  Both lists hold k-sets containing
-        # jlabel, whose colex order is that of the reversed tuples.
+        # keeps its Bernoulli(p) hit.  Both lists hold k-sets containing jlabel
+        # in colex order (that of the reversed tuples): only repeats need a merge.
         edges = edges_of(jlabel)
-        fresh = [e for e in edges if not queried_before(e)]
-        repeats = [e for e in hits if queried_before(e)]
+        fresh = [e for e in edges if expanded.keys().isdisjoint(combinations(e, j))]
+        repeats = [e for e in hits if not expanded.keys().isdisjoint(combinations(e, j))]
         expanded[jlabel] = edges
-        return sorted(fresh + repeats, key=lambda e: e[::-1])
+        return sorted(fresh + repeats, key=lambda e: e[::-1]) if repeats else fresh
 
     tree = _branch(params.n, params.k, j, params.p, start, seed, cap, first_query_rule)
     component_size = sum(len(u) != j for u, v in walk(edges_of, j, start, {}) if v is None)

@@ -343,6 +343,38 @@ class TestBounds:
         assert code == 1 and "needs" in err
 
 
+# argparse on its own reads -inf, -nan and negative exponents as flags, and
+# exits with "expected one argument"; each value reaches its domain check
+NEGATIVE_FLOATS = {
+    "unicycle_constant_minus_inf": (["bounds", "--which", "unicycle", "--n", "60", "--k", "3",
+                                     "--j", "2", "--epsilon", "0.3", "--s", "2048",
+                                     "--constant", "-inf"],
+                                    "constant must be finite and > 0, got -inf"),
+    "unicycle_constant_minus_nan": (["bounds", "--which", "unicycle", "--n", "60", "--k", "3",
+                                     "--j", "2", "--epsilon", "0.3", "--s", "2048",
+                                     "--constant", "-nan"],
+                                    "constant must be finite and > 0, got nan"),
+    "rs_epsilon_negative_exponent": (["bounds", "--which", "rs", "--n", "60", "--k", "3",
+                                      "--j", "2", "--s", "5", "--epsilon", "-1e-3"],
+                                     "epsilon must lie in (0, 1), got -0.001"),
+    "gen_p_negative_exponent": (["gen", "--n", "10", "--k", "3", "--out", "{out}",
+                                 "--p", "-1e-9"], "p must lie in [0, 1], got -1e-09"),
+    "experiment_spread_width_minus_inf": (["experiment", "--n", "40", "--k", "3", "--j", "2",
+                                           "--epsilon", "0.3", "--trials", "2",
+                                           "--spread-width", "-inf"],
+                                          "spread width must be finite and > 0, got -inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_FLOATS))
+def test_negative_float_values_reach_their_domain_checks(name, capsys, tmp_path):
+    argv, message = NEGATIVE_FLOATS[name]
+    out = tmp_path / "h.txt"
+    code, stdout, err = run_cli(capsys, *(a.replace("{out}", str(out)) for a in argv))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 # Each flag takes a value from one pool, or is left out: negative, zero, small,
 # the values that once raised (--ell 300, --s-max 1000, --s 10**15), an int
 # past the float range and non-numeric.  Every value either finishes within

@@ -130,14 +130,18 @@ class TestHypergraphType:
         edges = np.array([[1, 2, 3], [1, 2, 4]], dtype=dtype)
         h = Hypergraph(5, 3, edges)
         assert h.edges == ((1, 2, 3), (1, 2, 4)) and h.array.dtype == np.int64
+        signed = Hypergraph(5, 3, edges.astype(np.int8))
+        assert h == signed and h.array.dtype == signed.array.dtype
         with pytest.raises(ValidationError, match="exceeds n=3"):
             Hypergraph(3, 3, edges)
 
     def test_uint64_past_int64_takes_python_ints(self):
+        # 2**63 is the first vertex past int64
         n = 2**64
-        h = Hypergraph(n, 3, np.array([[1, 2, 3], [1, 2, n - 1]], dtype=np.uint64))
-        assert h.array.dtype == object and h.edges == ((1, 2, 3), (1, 2, n - 1))
-        assert [c.size for c in j_components(h, 2)[0]] == [2]
+        edges = [[1, 2, 3], [1, 2, 2**63], [1, 2, n - 1]]
+        h = Hypergraph(n, 3, np.array(edges, dtype=np.uint64))
+        assert h.array.dtype == object and h.array.tolist() == edges
+        assert [c.size for c in j_components(h, 2)[0]] == [3]
 
     def test_roundtrip_exact(self):
         h = sample(30, 3, 0.01, 4)

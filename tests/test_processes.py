@@ -26,9 +26,9 @@ from tests.conftest import KS_TWO_SIDED, format_trace, hitting_time_pmf, ks_dist
 PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
 
-def reference_branch(n, k, j, p, root, seed, cap):
+def reference_branch(n, k, j, p, root, seed, cap, spawn=lambda jlabel, hits: hits):
     # The free process with one fresh rng.random(N) array per popped j-set,
-    # the draw that the preallocated buffers replaced.
+    # the draw that the preallocated buffers replaced; `spawn` as in `_branch`.
     rng = make_generator(seed)
     n_candidates = math.comb(n - j, k - j)
     tree = TwoTypeTree()
@@ -45,7 +45,7 @@ def reference_branch(n, k, j, p, root, seed, cap):
                     v += a <= v
                 added.append(v)
             hits.append(tuple(sorted(jlabel + tuple(added))))
-        for klabel in hits:
+        for klabel in spawn(jlabel, hits):
             if tree.size >= cap:
                 tree.truncated = True
                 return tree
@@ -54,6 +54,28 @@ def reference_branch(n, k, j, p, root, seed, cap):
                 if sub != jlabel:
                     queue.append(tree.add("j", sub, k_idx))
     return tree
+
+
+def reference_first_query_rule(edges, j, pops):
+    # coupled_run's rule in full: a k-set was queried before if any of its
+    # j-subsets was expanded, a popped j-set's edges are those of `edges`
+    # holding it, and fresh and repeat k-sets are always sorted together
+    # (colex); `pops` counts the pops with repeats and those the sort reordered
+    expanded = set()
+
+    def queried(e):
+        return any(sub in expanded for sub in combinations(e, j))
+
+    def rule(jlabel, hits):
+        fresh = [e for e in edges if set(jlabel) <= set(e) and not queried(e)]
+        repeats = [e for e in hits if queried(e)]
+        expanded.add(jlabel)
+        merged = sorted(fresh + repeats, key=lambda e: e[::-1])
+        pops["repeats"] += bool(repeats)
+        pops["reordered"] += merged != fresh + repeats
+        return merged
+
+    return rule
 
 
 class TestSearch:
@@ -361,6 +383,30 @@ class TestCoupling:
                                               if kind == "j"}
                     runs[tree.truncated, expected[0] > 1] += 1
         assert runs[False, True] and runs[cap == 5, True] and sum(runs.values()) > 100
+
+    def test_trees_match_the_rule_written_out(self, monkeypatch):
+        # every tree coupled_run grows, not only its size, on a grid where
+        # repeat queries join and sort ahead of fresh edges
+        branch, trees, pops = processes._branch, [], Counter()
+        monkeypatch.setattr(processes, "_branch",
+                            lambda *args: trees.append(branch(*args)) or trees[-1])
+        for k, j in PAIRS:
+            for n in (12, 30):
+                params = TheoryParams(n, k, j, 0.3)
+                for mult in (0.7, 2.5):
+                    for s in range(4):
+                        h = sample(n, k, min(1.0, mult * params.p0), trial_seed(n + 7 * k + j, s))
+                        start = h.edges[0][:j] if h.edges else tuple(range(1, j + 1))
+                        seed = trial_seed(53, s)
+                        trees.clear()
+                        coupled_run(h, params, start, seed, cap=50)
+                        expected = reference_branch(n, k, j, params.p, start, seed, 50,
+                                                    reference_first_query_rule(h.edges, j, pops))
+                        (tree,) = trees
+                        assert (tree.types, tree.labels, tree.parents, tree.truncated) == (
+                            expected.types, expected.labels, expected.parents, expected.truncated)
+                        pops["truncated runs"] += tree.truncated
+        assert pops["repeats"] > 100 and pops["reordered"] > 10 and pops["truncated runs"] > 5
 
     def test_stored_keys_leave_results_unchanged(self):
         params = TheoryParams(40, 3, 2, 0.3)
