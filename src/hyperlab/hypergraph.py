@@ -5,11 +5,14 @@ of hyperedges whose consecutive intersections have at least j vertices,
 that is, whose consecutive edges share a j-set.
 
 Edges have one representation, the (m, k) integer array `Hypergraph.array`
-in colex order, checked one column at a time (ascent, then colex order
-from the top column down); tuples appear only at the boundary
-(`Hypergraph.edges`, built on each access, and witnesses).
+in colex order; tuples appear only at the boundary (`Hypergraph.edges`,
+built on each access, and witnesses).  Every array given to `Hypergraph`
+or read from a file is checked one column at a time (ascent, then colex
+order from the top column down).
 `sample` draws its uniforms in blocks, turns them into geometric gaps and
-cumulative colex ranks, and unranks them all at once (`unrank_array`).
+cumulative colex ranks, and unranks them all at once (`unrank_array`);
+ranks strictly ascending below C(n, k) unrank to distinct k-sets in colex
+order, so its array is valid by construction and is not checked again.
 One helper ranks every j-subset of every edge from the edge columns
 (`rank_array`, with no gathered copy of the subsets), packs each rank with
 the subset's row into one key, rank * count + row, in int32 where every key
@@ -59,9 +62,11 @@ class Hypergraph:
     (an unsigned one is read as Python ints).  Either way the hypergraph
     keeps only one validated, read-only (m, k) array, `array` (int64, or
     object when a vertex passes the int64 range); `edges` builds the same
-    edges as tuples on each access.  The sorted j-subset keys of each j that
-    is decomposed or looked up are kept on the hypergraph; equality and
-    `repr` ignore them, and a pickle carries them.
+    edges as tuples on each access.  Only `sample` skips the check, through
+    `_from_colex`, as it builds its array valid by construction.  The
+    sorted j-subset keys of each j that is decomposed or looked up are kept
+    on the hypergraph; equality and `repr` ignore them, and a pickle
+    carries them.
     """
 
     def __init__(self, n: int, k: int, edges) -> None:
@@ -91,6 +96,15 @@ class Hypergraph:
             rank_subset(e, self.n)  # raises for a non-integer, unsorted or out-of-range element
             raise ValidationError(f"edges must be distinct and sorted by colex rank near {e}")
         self.array.flags.writeable = False
+
+    @classmethod
+    def _from_colex(cls, n: int, k: int, array: np.ndarray) -> Hypergraph:
+        # `sample`'s constructor, which runs no `__post_init__`: `array` holds
+        # distinct k-sets of [1, n] in colex order by construction
+        h = cls.__new__(cls)
+        h.n, h.k, h._jset_keys, h.array = n, k, {}, array
+        array.flags.writeable = False
+        return h
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -162,14 +176,16 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     to the next present edge has P(G = g) = (1-p)^(g-1) * p), so absent
     edges are never touched.  The uniforms are drawn a block at a time, the
     ranks are their cumulative gaps, and all ranks are unranked at once by
-    `unrank_array`.  Identical (n, k, p, seed) give identical hypergraphs,
-    bit for bit.
+    `unrank_array`.  The ranks ascend strictly below C(n, k), so the rows
+    are distinct k-sets of [1, n] in colex order by construction, and the
+    hypergraph is built without `Hypergraph`'s check of its array.
+    Identical (n, k, p, seed) give identical hypergraphs, bit for bit.
     """
     check_domain(n, k)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
-        return Hypergraph(n, k, ())
+        return Hypergraph._from_colex(n, k, _no_edges(k))
     if n * k > MAX_TABLE_CELLS:
         raise ResourceLimitError(
             f"sampling needs colex tables of {show_int(n * k)} entries, more than {MAX_TABLE_CELLS}"
@@ -181,8 +197,8 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
     else:
         ranks = _edge_ranks(total, p, make_generator(seed), dtype)
         if not len(ranks):  # no rank fell below C(n, k)
-            return Hypergraph(n, k, ())
-    return Hypergraph(n, k, unrank_array(ranks, k, n))
+            return Hypergraph._from_colex(n, k, _no_edges(k))
+    return Hypergraph._from_colex(n, k, unrank_array(ranks, k, n))
 
 
 def _edge_ranks(total: int, p: float, rng: np.random.Generator, dtype: type) -> np.ndarray:
@@ -229,9 +245,7 @@ def _first_invalid_edge(edges, n: int, k: int) -> tuple[int, np.ndarray]:
     # `edges` is a tuple of tuples or a 2-D int64 array.  Each check runs on
     # the prefix the previous one passed.
     if not len(edges):
-        # numpy has no (0, k) array for k past its dimension range, and no
-        # decomposition reads the columns of one past MAX_TEMPLATE_CELLS
-        return 0, np.empty((0, min(k, MAX_TEMPLATE_CELLS)), np.int64)
+        return 0, _no_edges(k)
     if isinstance(edges, np.ndarray):
         if edges.shape[1] != k:
             return 0, None
@@ -262,6 +276,12 @@ def _first_invalid_edge(edges, n: int, k: int) -> tuple[int, np.ndarray]:
         later |= tied & (b[c] > a[c])
         tied &= b[c] == a[c]
     return min(end, 1 + _first_false(later)), e
+
+
+def _no_edges(k: int) -> np.ndarray:
+    # numpy has no (0, k) array for k past its dimension range, and no
+    # decomposition reads the columns of one past MAX_TEMPLATE_CELLS
+    return np.empty((0, min(k, MAX_TEMPLATE_CELLS)), np.int64)
 
 
 def _first_false(flags: np.ndarray) -> int:

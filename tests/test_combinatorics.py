@@ -128,7 +128,7 @@ class TestUnrankExact:
     @pytest.fixture(autouse=True)
     def empty_cache(self):
         yield
-        combinatorics._colex_table.cache_clear()  # a table at n = 3e6 holds 24 MB
+        combinatorics._TABLES.clear()  # a table at n = 3e6 holds 24 MB
 
     def test_every_rank_small(self):
         # every (n, size) with 2 <= size <= 8 and C(n, size) <= 20,000, from
@@ -170,34 +170,50 @@ class TestUnrankExact:
 
 
 class TestColexTables:
-    """`unrank_array` builds each table of C(x, i) once and keeps a bounded
-    number of them, read-only."""
+    """`unrank_array` builds each table of C(x, i) once, each below the top
+    from the one above, and keeps a bounded number of them, read-only."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
-        combinatorics._colex_table.cache_clear()
+        combinatorics._TABLES.clear()
         yield
-        combinatorics._colex_table.cache_clear()
+        combinatorics._TABLES.clear()
 
-    def test_one_build_per_n_and_position(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # (n, position, whether it was built from the table above) per build
         built = []
-        comb_array = combinatorics._comb_array
+        new_table = combinatorics._new_table
 
-        def spy(x, r):
-            built.append((len(x), r))
-            return comb_array(x, r)
+        def spy(n, i, dtype, above):
+            built.append((n, i, above is not None))
+            return new_table(n, i, dtype, above)
 
-        monkeypatch.setattr(combinatorics, "_comb_array", spy)
+        monkeypatch.setattr(combinatorics, "_new_table", spy)
+        return built
+
+    def test_one_build_per_n_and_position(self, built):
         for _ in range(5):
             for n, size in ((250, 3), (40, 4), (250, 3), (40, 2)):
                 rows = unrank_array(np.arange(7), size, n)
                 assert rows.tolist() == [unrank_subset(r, size, n) for r in range(7)]
-        assert sorted(built) == [(40, 2), (40, 3), (40, 4), (250, 2), (250, 3)]
+        assert sorted(built) == [(40, 2, True), (40, 3, True), (40, 4, False),
+                                 (250, 2, True), (250, 3, False)]
 
-    def test_tables_are_read_only(self):
+    @pytest.mark.parametrize("n, size", [(12, 5), (70, 35), (64, 64), (9, 2)])
+    def test_every_table_is_exact(self, built, monkeypatch, n, size):
+        # int64 and Python-int tables, built directly and by differences
+        monkeypatch.setattr(combinatorics, "MAX_TABLES", size)
+        unrank_array(np.arange(1), size, n)
+        assert len(built) == size - 1
+        for i in range(2, size + 1):
+            table = combinatorics._TABLES[n, i, colex_dtype(n, size)]
+            assert table.tolist() == [math.comb(x, i) for x in range(n)]
+
+    def test_tables_are_read_only(self, built):
         unrank_array(np.arange(10), 4, 30)
         table = combinatorics._colex_table(30, 3, np.int64)
-        assert combinatorics._colex_table.cache_info().hits == 1
+        assert len(built) == 3  # the kept table, not a new one
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1
@@ -206,8 +222,7 @@ class TestColexTables:
     def test_bounded_and_still_exact_after_many_n(self):
         for n in range(10, 110):
             unrank_array(np.array([0, math.comb(n, 3) - 1]), 3, n)
-        info = combinatorics._colex_table.cache_info()
-        assert info.currsize <= info.maxsize
+        assert len(combinatorics._TABLES) == combinatorics.MAX_TABLES
         for n in range(0, 10):
             for size in range(0, min(n, 6) + 1):
                 total = math.comb(n, size)

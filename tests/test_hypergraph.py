@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hyperlab import hypergraph
 from hyperlab.combinatorics import TheoryParams, colex_dtype, rank_subset
 from hyperlab.errors import ResourceLimitError, ValidationError
+from hyperlab.experiments import run_trial
 from hyperlab.hypergraph import (
     MAX_TABLE_CELLS,
     Hypergraph,
@@ -28,6 +29,8 @@ from hyperlab.hypergraph import (
     write_hypergraph,
 )
 from hyperlab.rng import trial_seed
+
+KJ_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
 
 def colex_hypergraph(n, k, edges):
@@ -101,6 +104,88 @@ class TestSampling:
             sample(10**5000, 3, 0.5, 0)  # so is n itself
 
 
+def check_spy():
+    return mock.patch.object(hypergraph, "_first_invalid_edge",
+                             wraps=hypergraph._first_invalid_edge)
+
+
+class TestSampledArrays:
+    """`sample` builds its array valid by construction and runs no check on
+    it; `Hypergraph(n, k, edges)` and `read_hypergraph` check every array."""
+
+    CASES = [
+        *[(60, k, TheoryParams(60, k, j, 0.3).p) for k, j in KJ_PAIRS],
+        (12, 3, 1.0),
+        (12, 4, 1 - 1e-12),
+        (30, 3, 5e-324),  # subnormal: every gap is capped past C(n, k)
+        (100, 50, 1e-28),  # C(100, 50) > 2**62: object ranks
+        (30, 3, 1e-9),  # edgeless
+        (30, 3, 0.0),
+    ]
+
+    @pytest.mark.parametrize("n, k, p", CASES)
+    def test_valid_by_construction(self, n, k, p):
+        for seed in range(3):
+            h = sample(n, k, p, seed)
+            assert hypergraph._first_invalid_edge(h.array, n, k)[0] == len(h.array)
+            assert Hypergraph(n, k, h.array) == h
+            assert h.array.flags.writeable is False
+            assert h.array.dtype == np.int64 and h._jset_keys == {}
+            if p == 1.0:
+                assert len(h.array) == math.comb(n, k)
+            if p * math.comb(n, k) < 1e-5:
+                assert len(h.array) == 0
+        if math.comb(n, k) >= 2**62:
+            assert colex_dtype(n, k) is object and len(h.array)
+
+    def test_sample_and_run_trial_make_no_check(self):
+        params = TheoryParams(250, 3, 2, 0.3)
+        with check_spy() as check:
+            for n, k, p in self.CASES:
+                sample(n, k, p, 1)
+            for trial in range(3):
+                run_trial(params, trial_seed(7, trial), 3, trial)
+        assert check.call_count == 0
+
+    def test_constructor_and_reader_check_once(self):
+        h = sample(30, 3, 0.01, 4)
+        with check_spy() as check:
+            assert Hypergraph(h.n, h.k, h.array) == h
+            assert read_hypergraph(write_hypergraph(h)) == h
+        assert check.call_count == 2
+        with check_spy() as check:
+            for edges, _ in EDGE_FAULTS:
+                with pytest.raises(ValidationError):
+                    Hypergraph(5, 3, edges)
+            for text in MALFORMED_FILES:
+                with pytest.raises(ValidationError):
+                    read_hypergraph(text)
+        # the files with a header and the declared edge count reach the check
+        assert check.call_count == len(EDGE_FAULTS) + 2
+
+
+# edges that `Hypergraph(5, 3, edges)` refuses, and its message for each
+EDGE_FAULTS = [
+    (((1, 2),), "edge (1, 2) does not have arity 3"),
+    (((1, 2, 3.0),), "subset elements must be integers, got 3.0"),
+    (((1, np.int64(2), 3),), f"subset elements must be integers, got {np.int64(2)!r}"),
+    (((1, 3, 2),), "subset must be sorted ascending without duplicates: [1, 3, 2]"),
+    (((-1, 2, 3),), "subset element -1 is below 1"),
+    (((0, 1, 2),), "subset element 0 is below 1"),
+    (((1, 2, 2**64),), f"subset element {2**64} exceeds n=5"),
+    (((1, 2, 4), (1, 2, 3)), "edges must be distinct and sorted by colex rank near (1, 2, 3)"),
+]
+
+MALFORMED_FILES = [
+    "",
+    "5 3\n",
+    "5 3 2\n1 2 3\n",            # wrong edge count
+    "5 3 1\n1 2\n",              # wrong arity
+    "5 3 1\n1 2 x\n",            # non-integer
+    "5 3 2\n1 2 4\n1 2 3\n",     # not colex sorted
+]
+
+
 class TestHypergraphType:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValidationError):
@@ -147,17 +232,7 @@ class TestHypergraphType:
         h = sample(30, 3, 0.01, 4)
         assert read_hypergraph(write_hypergraph(h)) == h
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "5 3\n",
-            "5 3 2\n1 2 3\n",            # wrong edge count
-            "5 3 1\n1 2\n",              # wrong arity
-            "5 3 1\n1 2 x\n",            # non-integer
-            "5 3 2\n1 2 4\n1 2 3\n",     # not colex sorted
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED_FILES)
     def test_malformed_files(self, text):
         with pytest.raises(ValidationError):
             read_hypergraph(text)
@@ -237,17 +312,7 @@ class TestArrayValidation:
         assert outcome(Hypergraph, n, k, edges) == outcome(per_edge_validate, n, k, edges)
 
     def test_rejects_each_fault_with_its_message(self):
-        cases = [
-            (((1, 2),), "edge (1, 2) does not have arity 3"),
-            (((1, 2, 3.0),), "subset elements must be integers, got 3.0"),
-            (((1, np.int64(2), 3),), f"subset elements must be integers, got {np.int64(2)!r}"),
-            (((1, 3, 2),), "subset must be sorted ascending without duplicates: [1, 3, 2]"),
-            (((-1, 2, 3),), "subset element -1 is below 1"),
-            (((0, 1, 2),), "subset element 0 is below 1"),
-            (((1, 2, 2**64),), f"subset element {2**64} exceeds n=5"),
-            (((1, 2, 4), (1, 2, 3)), "edges must be distinct and sorted by colex rank near (1, 2, 3)"),
-        ]
-        for edges, message in cases:
+        for edges, message in EDGE_FAULTS:
             with pytest.raises(ValidationError) as info:
                 Hypergraph(5, 3, edges)
             assert str(info.value) == message
@@ -413,9 +478,6 @@ class TestJComponents:
                     size = sum(1 for e in h.edges if set(e) <= comp_vertices)
                     assert comps[cid].size == size
                     assert comps[cid].order == len(comp_vertices)
-
-
-KJ_PAIRS = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
 
 @st.composite
@@ -785,6 +847,8 @@ class TestJsetLookup:
         assert h == fresh and repr(h) == repr(fresh)
         back = pickle.loads(pickle.dumps(h))
         assert back == h and repr(back) == repr(h)
+        assert back._jset_keys.keys() == {2}
+        assert np.array_equal(back._jset_keys[2], h._jset_keys[2])
         self.assert_matches_scan(back, 2, combinations(range(1, 31), 2))
 
     # int32 keys, int64 keys, object vertices, object keys
