@@ -136,7 +136,7 @@ def _cmd_gen(args) -> int:
         p = args.p
     else:
         j = args.j if args.j is not None else args.k - 1
-        p = TheoryParams(args.n, args.k, j, args.epsilon).p
+        p = TheoryParams.subcritical(args.n, args.k, j, args.epsilon).p
     check_domain(args.n, args.k)
     if 0.0 <= p <= 1.0:  # else sample reports the bad p
         check_edge_budget(args.n, args.k, p)
@@ -223,7 +223,7 @@ def _cmd_bounds(args) -> int:
         print(f"holds={'true' if chk.holds else 'false'}")
     else:
         _require(args, ["n", "k", "j", "epsilon", "s"])
-        params = TheoryParams(args.n, args.k, args.j, args.epsilon)
+        params = TheoryParams.subcritical(args.n, args.k, args.j, args.epsilon)
         if args.which == "rs":
             print(f"expected_Rs_upper={expected_Rs_upper(params, args.s):.10g}")
         elif args.which == "cs":

@@ -253,14 +253,21 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Model parameters (n, k, j, epsilon) and the constants derived from them.
+    """A model point (n, k, j, epsilon) and the constants derived from it.
 
     c0     = C(k, j) - 1
     p0     = 1 / (c0 * C(n-j, k-j))      (critical edge probability)
-    p      = (1 - epsilon) * p0          (subcritical edge probability)
+    p      = (1 - epsilon) * p0          (edge probability)
     delta  = -epsilon - log(1 - epsilon) (tail decay rate of large components)
     lam    = epsilon^3 * C(n, j)         (scale whose log sets the top size)
     supersets_per_jset = C(n-j, k-j)     (k-sets containing a fixed j-set)
+
+    Any epsilon < 1 with p <= 1 is a point: subcritical for epsilon in
+    (0, 1), critical at 0, supercritical below.  Sampling, trials, the
+    coupling and the exact counts read only n, k, j and p.  delta and lam
+    are the subcritical constants: the size-law predictors read them only
+    for epsilon in (0, 1) and refuse other points.  `subcritical` builds a
+    point in (0, 1) alone, as experiments and the CLI do.
     """
 
     n: int
@@ -274,10 +281,16 @@ class TheoryParams:
     lam: float = field(init=False)
     supersets_per_jset: int = field(init=False, repr=False)
 
+    @classmethod
+    def subcritical(cls, n: int, k: int, j: int, epsilon: float) -> TheoryParams:
+        """The point at epsilon in (0, 1); a bad (n, k, j) is refused first."""
+        check_domain(n, k, j)
+        if not 0.0 < epsilon < 1.0:
+            raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
+        return cls(n, k, j, epsilon)
+
     def __post_init__(self) -> None:
         check_domain(self.n, self.k, self.j)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         supersets = comb_at_most(self.n - self.j, self.k - self.j, MAX_FLOAT_INT)
         fan = comb_at_most(self.k, self.j, MAX_FLOAT_INT + 1)  # c0 = fan - 1 converts
         jsets = comb_at_most(self.n, self.j, MAX_FLOAT_INT)
@@ -286,7 +299,15 @@ class TheoryParams:
                                   "n is too large for float probabilities")
         object.__setattr__(self, "c0", fan - 1)
         object.__setattr__(self, "p0", 1.0 / (self.c0 * supersets))
-        object.__setattr__(self, "p", (1.0 - self.epsilon) * self.p0)
+        p = (1.0 - self.epsilon) * self.p0
+        if not (self.epsilon < 1.0 and p <= 1.0):  # refuses nan and -inf too
+            raise ValidationError(
+                f"need epsilon < 1 and p = (1 - epsilon) * p0 <= 1, got epsilon={self.epsilon}")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "delta", -self.epsilon - math.log1p(-self.epsilon))
-        object.__setattr__(self, "lam", self.epsilon**3 * jsets)
+        try:
+            lam = self.epsilon**3 * jsets
+        except OverflowError:  # epsilon**3 is past the float range below epsilon = -5.6e102
+            lam = -math.inf
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "supersets_per_jset", supersets)

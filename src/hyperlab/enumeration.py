@@ -337,6 +337,8 @@ def _weighted_b_s(params: TheoryParams, s: int, x: int) -> float:
     # B_s p^s (1-p)^x, evaluated in log space.  x can pass the float range as an
     # int, so x log(1-p) is rounded once from the exact product; Rs lowers x by
     # s(1 + c0), which can lift the value past the float range
+    if not params.epsilon > 0.0:  # a subcritical bound; at epsilon <= 0, p can be 1
+        raise ValidationError(f"the bound needs epsilon in (0, 1), got {params.epsilon}")
     log_b = _log_b_s(params, s)
     return _in_float_range("the bound B_s p^s (1-p)^x", lambda: math.exp(
         log_b + s * math.log(params.p) + float(x * Fraction(math.log1p(-params.p)))))

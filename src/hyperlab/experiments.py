@@ -62,7 +62,7 @@ class ExperimentConfig:
                                      f"got trials={self.trials}, m={self.m}")
 
     def params(self) -> TheoryParams:
-        return TheoryParams(self.n, self.k, self.j, self.epsilon)
+        return TheoryParams.subcritical(self.n, self.k, self.j, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,8 @@ class ExperimentSummary:
 
 
 def run_trial(params: TheoryParams, seed: int, m: int, trial: int = 0) -> TrialRecord:
+    """The top-m record of H^k(n, p) on `seed`, at any model point: only
+    n, k, j and p are read, so epsilon may take either sign."""
     h = sample(params.n, params.k, params.p, seed)
     sizes, orders, flags, *_ = _decompose(h, params.j)
     top = _top_ids(sizes, m)

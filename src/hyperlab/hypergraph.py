@@ -66,7 +66,7 @@ class Hypergraph:
     `_from_colex`, as it builds its array valid by construction.  The
     sorted j-subset keys of each j that is decomposed or looked up are kept
     on the hypergraph; equality and `repr` ignore them, and a pickle
-    carries them.
+    carries them.  An unpickled hypergraph's array is read-only too.
     """
 
     def __init__(self, n: int, k: int, edges) -> None:
@@ -105,6 +105,11 @@ class Hypergraph:
         h.n, h.k, h._jset_keys, h.array = n, k, {}, array
         array.flags.writeable = False
         return h
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickling restores a writeable array; the keys come back as pickled
+        self.__dict__.update(state)
+        self.array.flags.writeable = False
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -157,7 +162,8 @@ class ComponentSummary:
 # Uniform draws per block of the gap sampler: the blocks keep memory at
 # O(edges) however large C(n, k) * p is.
 _BLOCK = 1 << 16
-# Largest n * k for which `sample` builds its colex tables (32 MiB of int64).
+# Largest (k - 1) * n for which `sample` builds its colex tables, the k - 1
+# tables of n cells that `unrank_array` needs (32 MiB of int64).
 MAX_TABLE_CELLS = 1 << 22
 # Largest j-subset template of one k-set, C(k, j) subsets of j cells; the
 # C(k, j) ranks per edge of a hypergraph are bounded by the edge budget.
@@ -186,10 +192,9 @@ def sample(n: int, k: int, p: float, seed: int) -> Hypergraph:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
         return Hypergraph._from_colex(n, k, _no_edges(k))
-    if n * k > MAX_TABLE_CELLS:
-        raise ResourceLimitError(
-            f"sampling needs colex tables of {show_int(n * k)} entries, more than {MAX_TABLE_CELLS}"
-        )
+    if (k - 1) * n > MAX_TABLE_CELLS:
+        raise ResourceLimitError(f"sampling needs colex tables of {show_int((k - 1) * n)} "
+                                 f"entries, more than {MAX_TABLE_CELLS}")
     total = math.comb(n, k)
     dtype = colex_dtype(n, k)
     if p == 1.0:

@@ -176,6 +176,7 @@ def coupled_run(
 ) -> tuple[int, int]:
     """Couple one component search on `h` with one branching process.
 
+    `params` may be any model point: only n, k, j and p are read.
     Returns (component_size, branching_size); the construction guarantees
     branching_size >= component_size exactly (unless the branching run is
     truncated at `cap`, which cannot shrink it below the cap).

@@ -24,9 +24,8 @@ from hyperlab.enumeration import (
     tj_series_fixed_point,
     wheel_bound_exact,
 )
-from hyperlab.experiments import _top_ids, csv_lines, run_experiment, run_trial
+from hyperlab.experiments import csv_lines, run_experiment, run_trial
 from hyperlab.hypergraph import (
-    _decompose,
     brute_force_wheel_census,
     find_wheel,
     j_components,
@@ -238,6 +237,9 @@ def test_c07_laplace_sum_grid():
     _report(7, "falling-power sums below the closed-form cap", t0, 30)
 
 
+SMALL_PAIRS = ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3))  # every (k, j) with k <= 4
+
+
 class TestC08DeskScaleStatisticalRun:
     def test_c08a_size_law_median(self, accept_run):
         t0 = time.perf_counter()
@@ -277,31 +279,20 @@ class TestC08DeskScaleStatisticalRun:
         # the top-3 record: L1..L3 and their flags.  Seeds trial_seed(516_000 + pair, t).
         self.check_run_trial_records(3, 516_000)
 
-    def check_run_trial_records(self, m, base):
-        # run_trial's top-m record for every (k, j) with k <= 4, 2,000 trials each
+    def check_run_trial_records(self, m, base, pairs=SMALL_PAIRS, epsilon=0.3, label="n=5"):
+        # run_trial's top-m record at n = 5 for each (k, j), 2,000 trials each
         t0 = time.perf_counter()
         stats = []
-        for pair, (k, j) in enumerate([(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]):
-            params = TheoryParams(5, k, j, 0.3)
+        for pair, (k, j) in enumerate(pairs):
+            params = TheoryParams(5, k, j, epsilon)
             records = [(*r.sizes, *r.hypertree, r.largest_nonhypertree) for r in (
                 run_trial(params, trial_seed(base + pair, t), m) for t in range(2_000))]
             self.assert_top_records_in_law(k, j, params.p, m, records, stats)
-        _report(8, f"top-{m} record in exact law at n=5", t0, 30, " ".join(stats))
+        _report(8, f"top-{m} record in exact law at {label}", t0, 30, " ".join(stats))
 
     def test_c08_top3_record_exact_law_supercritical(self):
-        # (5,3,2) at p = 1.5 p0, past TheoryParams' subcritical range, so the
-        # record is read from the columns run_trial reads.  Seeds trial_seed(517_000, t).
-        t0 = time.perf_counter()
-        p, records = 1.5 * TheoryParams(5, 3, 2, 0.3).p0, []
-        for t in range(2_000):
-            sizes, _, flags, *_ = _decompose(sample(5, 3, p, trial_seed(517_000, t)), 2)
-            top = _top_ids(sizes, 3)
-            pad = 3 - len(top)
-            records.append((*sizes[top].tolist(), *(0,) * pad, *flags[top].tolist(),
-                            *(None,) * pad, int(sizes[~flags].max(initial=0))))
-        stats = []
-        self.assert_top_records_in_law(3, 2, p, 3, records, stats)
-        _report(8, "top-3 record in exact law at n=5, p=1.5 p0", t0, 30, " ".join(stats))
+        # (5,3,2) at epsilon = -0.5, p = 1.5 p0.  Seeds trial_seed(517_000, t).
+        self.check_run_trial_records(3, 517_000, [(3, 2)], -0.5, "n=5, p=1.5 p0")
 
     def test_c08c_order_identity_exact(self, accept_run):
         records, _, _ = accept_run

@@ -375,6 +375,33 @@ def test_negative_float_values_reach_their_domain_checks(name, capsys, tmp_path)
     assert not out.exists()
 
 
+# Every command that takes --epsilon refuses it outside (0, 1) with one line
+# and exit 1, and a bad (n, k) before it: n = 2 < k = 3.
+EPSILON_COMMANDS = {
+    "gen": ["gen", "--k", "3", "--out", "{out}"],
+    "experiment": ["experiment", "--k", "3", "--j", "2", "--trials", "1"],
+    "experiment_config": ["experiment", "--config", "{config}"],
+    **{f"bounds_{which}": ["bounds", "--which", which, "--k", "3", "--j", "2", "--s", "2048"]
+       for which in ("rs", "cs", "unicycle")},
+}
+EPSILONS = {"0": "0.0", "-1e-3": "-0.001", "1": "1.0", "1.5": "1.5", "nan": "nan", "-inf": "-inf"}
+
+
+@pytest.mark.parametrize("n", ["10", "2"])
+@pytest.mark.parametrize("epsilon", EPSILONS)
+@pytest.mark.parametrize("command", sorted(EPSILON_COMMANDS))
+def test_epsilon_outside_zero_one_refused(command, epsilon, n, capsys, tmp_path):
+    out, config = tmp_path / "h.txt", tmp_path / "run.cfg"
+    config.write_text(f"n = {n}\nk = 3\nj = 2\ntrials = 1\nepsilon = {epsilon}\n")
+    argv = [a.format(out=out, config=config) for a in EPSILON_COMMANDS[command]]
+    if command != "experiment_config":
+        argv += ["--n", n, "--epsilon", epsilon]
+    message = (f"epsilon must lie in (0, 1), got {EPSILONS[epsilon]}" if n == "10"
+               else "need n >= k >= 2 and 1 <= j <= k-1, got n=2, k=3, j=2")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 # Each flag takes a value from one pool, or is left out: negative, zero, small,
 # the values that once raised (--ell 300, --s-max 1000, --s 10**15), an int
 # past the float range and non-numeric.  Every value either finishes within

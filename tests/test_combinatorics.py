@@ -296,13 +296,31 @@ class TestTheoryParams:
             (10, 3, 0, 0.3),   # j too small
             (10, 3, 3, 0.3),   # j too large
             (2, 3, 2, 0.3),    # n < k
-            (10, 3, 2, 0.0),   # epsilon at boundary
-            (10, 3, 2, 1.0),
+            (10, 3, 2, 1.0),   # epsilon at the top boundary
         ],
     )
     def test_validation(self, n, k, j, eps):
         with pytest.raises(ValidationError):
             TheoryParams(n, k, j, eps)
+
+    def test_any_sign_of_epsilon(self):
+        # critical at epsilon = 0, supercritical below; p = (1 - epsilon) p0 bit for bit
+        p0 = TheoryParams(5, 3, 2, 0.3).p0
+        assert TheoryParams(5, 3, 2, 0.0).p == p0
+        assert TheoryParams(5, 3, 2, -0.5).p == 1.5 * p0
+
+    # epsilon = -10 at (5, 3, 2) puts p at 11/6
+    @pytest.mark.parametrize("eps", [1.0, 1.5, math.inf, math.nan, -math.inf, -10.0])
+    def test_refuses_points_past_the_model(self, eps):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"need epsilon < 1 and p = (1 - epsilon) * p0 <= 1, got epsilon={eps}")):
+            TheoryParams(5, 3, 2, eps)
+
+    def test_no_overflow_far_below_zero(self):
+        # p0 is about 1.0e-230, so p about 1e-30 is a point, while epsilon**3 is past floats
+        params = TheoryParams(10**6, 50, 2, -1e200)
+        assert params.p == (1.0 + 1e200) * params.p0 and 1e-31 < params.p < 1e-29
+        assert params.lam == -math.inf and params.delta > 0
 
 
 # Entry points that take (n, k) meet only the triples with a bad (n, k),
@@ -311,6 +329,8 @@ class TestTheoryParams:
 BAD_NK, BAD_J = [(3, 1, 1), (2, 3, 1)], [(5, 3, 0), (5, 3, 3)]
 DOMAIN_ENTRY_POINTS = {
     "TheoryParams": (lambda n, k, j: TheoryParams(n, k, j, 0.3), BAD_NK + BAD_J),
+    "TheoryParams.subcritical": (lambda n, k, j: TheoryParams.subcritical(n, k, j, 0.3),
+                                 BAD_NK + BAD_J),
     "ExperimentConfig": (lambda n, k, j: ExperimentConfig(n, k, j, 0.3, trials=1), BAD_NK + BAD_J),
     "Hypergraph": (lambda n, k, j: Hypergraph(n, k, ()), BAD_NK),
     "sample": (lambda n, k, j: sample(n, k, 0.5, 0), BAD_NK),
@@ -333,6 +353,27 @@ def test_every_domain_entry_point_refuses_with_one_message(name, n, k, j):
     message = re.escape(f"need n >= k >= 2 and 1 <= j <= k-1, got n={n}, k={k}")
     with pytest.raises(ValidationError, match=f"^{message}(, j={j})?$"):
         DOMAIN_ENTRY_POINTS[name][0](n, k, j)
+
+
+# The entry points that take epsilon in (0, 1) alone: a bad (n, k, j) is
+# refused first, then epsilon, then binomials past the float range.
+SUBCRITICAL_ENTRY_POINTS = {
+    "TheoryParams.subcritical": TheoryParams.subcritical,
+    "ExperimentConfig": lambda n, k, j, eps: ExperimentConfig(n, k, j, eps, trials=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCRITICAL_ENTRY_POINTS))
+@pytest.mark.parametrize("eps", [0.0, -0.5, -1e-3, 1.0, 1.5, math.nan, -math.inf])
+def test_subcritical_entry_points_refuse_epsilon_outside_zero_one(name, eps):
+    build = SUBCRITICAL_ENTRY_POINTS[name]
+    message = re.escape(f"epsilon must lie in (0, 1), got {eps}")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(10, 3, 2, eps)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build(10**4000, 1002, 2, eps)
+    with pytest.raises(ValidationError, match="^need n >= k >= 2"):
+        build(2, 3, 2, eps)
 
 
 def test_refusals_word_integers_past_the_str_limit():

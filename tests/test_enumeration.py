@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 from functools import reduce
@@ -512,3 +513,18 @@ class TestPrediction:
         params = TheoryParams(5, 3, 2, 0.3)  # lam = 0.027 * 10 < e
         with pytest.raises(ValidationError):
             predicted_L1(params)
+
+    # The size law is subcritical.  Each refusal comes before a logarithm:
+    # log(lam) at lam <= 0, and log1p(-p) at (2, 2, 1, 0), where p = p0 = 1,
+    # would raise a bare ValueError.
+    @pytest.mark.parametrize("n, k, j, epsilon", [(2, 2, 1, 0.0), (250, 3, 2, 0.0),
+                                                  (250, 3, 2, -0.5)])
+    def test_size_law_refuses_epsilon_not_above_zero(self, n, k, j, epsilon):
+        params = TheoryParams(n, k, j, epsilon)
+        for predict in (predicted_L1, predicted_M1):
+            with pytest.raises(ValidationError, match="^prediction needs lambda > e"):
+                predict(params)
+        for bound in (expected_Rs_upper, expected_Cs_lower_reference):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"the bound needs epsilon in (0, 1), got {epsilon}")):
+                bound(params, 1)

@@ -162,6 +162,23 @@ class TestColumnarTrial:
         for m in (1, 2, 5):
             assert run_trial(params, 7, m) == record_from_summaries(h, 2, 7, m)
 
+    def test_supercritical_point_reads_its_sample(self):
+        # epsilon = -0.5 puts p at 1.5 p0 bit for bit; on the 2,000 seeds of
+        # the supercritical exact-law check, run_trial's record equals the
+        # columns of the decomposition of the sample at 1.5 p0
+        params = TheoryParams(5, 3, 2, -0.5)
+        p = 1.5 * TheoryParams(5, 3, 2, 0.3).p0
+        assert params.p == p
+        for t in range(2_000):
+            seed = trial_seed(517_000, t)
+            sizes, _, flags, *_ = _decompose(sample(5, 3, p, seed), 2)
+            top = np.argsort(-sizes, kind="stable")[:3]
+            pad = 3 - len(top)
+            r = run_trial(params, seed, 3)
+            assert (*r.sizes, *r.hypertree, r.largest_nonhypertree) == (
+                *sizes[top].tolist(), *(0,) * pad, *flags[top].tolist(), *(None,) * pad,
+                int(sizes[~flags].max(initial=0)))
+
     # sha256 of the records below, which the exits for edgeless and linkless
     # trials must leave as the full decomposition writes them
     TINY_DIGEST = "9a9313e6f83137056f75d7aa498617330246e25b827749d004a8842ced02df77"

@@ -95,12 +95,15 @@ class TestSampling:
             sample(10, 3, 1.5, 0)
 
     def test_refuses_tables_beyond_the_cap(self):
+        # unrank_array builds k - 1 tables of n cells: one at k = 2
+        n = MAX_TABLE_CELLS // 2 + 1
         with pytest.raises(ResourceLimitError, match=f"tables of {MAX_TABLE_CELLS + 2} entries"):
-            sample(MAX_TABLE_CELLS // 2 + 1, 2, 1e-15, 0)
-        # n * k past the digit limit is shown by its bit length
+            sample(n, 3, 1e-15, 0)
+        assert sample(n, 2, 1e-15, 0).n == n
+        # (k - 1) * n past the digit limit is shown by its bit length
         with pytest.raises(ResourceLimitError, match="tables of <14617-bit integer> entries"):
             sample(10**2200, 10**2200, 1e-15, 0)
-        with pytest.raises(ResourceLimitError, match="tables of <16612-bit integer> entries"):
+        with pytest.raises(ResourceLimitError, match="tables of <16611-bit integer> entries"):
             sample(10**5000, 3, 0.5, 0)  # so is n itself
 
 
@@ -841,15 +844,17 @@ class TestJsetLookup:
         assert sorts.call_count == 1 and h._jset_keys.keys() == {2}
 
     def test_stored_keys_leave_equality_repr_and_pickle(self):
-        h = sample(30, 3, 0.02, 8)
-        jset_lookup(h, 2)
-        fresh = Hypergraph(h.n, h.k, h.array)
-        assert h == fresh and repr(h) == repr(fresh)
-        back = pickle.loads(pickle.dumps(h))
-        assert back == h and repr(back) == repr(h)
-        assert back._jset_keys.keys() == {2}
-        assert np.array_equal(back._jset_keys[2], h._jset_keys[2])
-        self.assert_matches_scan(back, 2, combinations(range(1, 31), 2))
+        sampled = sample(30, 3, 0.02, 8)
+        for h in (sampled, Hypergraph(30, 3, sampled.edges)):  # built without and with the check
+            jset_lookup(h, 2)
+            fresh = Hypergraph(h.n, h.k, h.array)
+            assert h == fresh and repr(h) == repr(fresh)
+            back = pickle.loads(pickle.dumps(h))
+            assert back == h and repr(back) == repr(h)
+            assert back.array.flags.writeable is False
+            assert back._jset_keys.keys() == {2}
+            assert np.array_equal(back._jset_keys[2], h._jset_keys[2])
+            self.assert_matches_scan(back, 2, combinations(range(1, 31), 2))
 
     # int32 keys, int64 keys, object vertices, object keys
     @pytest.mark.parametrize("n", [30, 10**5, 2**64, 2**31 - 1])
