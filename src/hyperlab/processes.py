@@ -22,11 +22,14 @@ test on the memo's keys, and fresh edges keep the lookup's colex order.
 
 `branching_with_rate` and `coupled_run` grow their trees in one
 breadth-first loop; they differ only in the rule that turns one pop's
-Bernoulli hits into spawned k-sets.
+Bernoulli hits into spawned k-sets.  A pop decides its Bernoulli(p) hits
+on raw Philox words, one integer compare each against a threshold that
+hits exactly the candidates `rng.random(N) < p` would.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -40,8 +43,8 @@ from .hypergraph import Hypergraph, _check_subsets, jset_lookup, walk
 from .rng import make_generator
 
 DEFAULT_CAP = 1_000_000
-# Largest C(n-j, k-j), the uniforms one popped type-j vertex draws (32 MiB
-# of doubles); the workloads and tests draw at most C(59, 2) = 1,711.
+# Largest C(n-j, k-j), the uniforms one popped type-j vertex draws: 32 MiB
+# of 64-bit words, drawn afresh per pop.
 MAX_DRAWS = 1 << 22
 
 
@@ -117,20 +120,24 @@ def _branch(n: int, k: int, j: int, p: float, root: tuple[int, ...], seed: int, 
     if (candidates := comb_at_most(n - j, k - j, MAX_DRAWS)) is None:
         raise ResourceLimitError(
             f"each popped j-set would draw C(n-j, k-j) uniforms, more than {MAX_DRAWS}")
-    rng = make_generator(seed)
-    # refilled per pop; rng.random(out=draws) draws the doubles rng.random(N) would
-    draws = np.empty(candidates)
-    hit = np.empty(draws.size, bool)
+    # A uniform stays its raw 64-bit Philox word w: rng.random() would make it
+    # (w >> 11) * 2**-53, below p exactly when w < ceil(p * 2**53) * 2**11.
+    # So a pop draws the words rng.random(N) would and hits the same
+    # candidates.  At p = 1 that threshold, 2**64, is past uint64: every
+    # candidate hits, with no draw.  An np.uint64 threshold keeps the compare
+    # integer; a float would promote the words to float64.
+    bits = make_generator(seed).bit_generator
+    threshold = np.uint64(math.ceil(p * 2**53) << 11) if p < 1 else None
     tree = TwoTypeTree()
     tree.add("j", root, None)
     queue: deque[int] = deque([0])
     while queue:
         u_idx = queue.popleft()
         jlabel = tree.labels[u_idx]
-        rng.random(out=draws)
-        np.less(draws, p, out=hit)
+        hit = range(candidates) if threshold is None else \
+            (bits.random_raw(candidates) < threshold).nonzero()[0].tolist()
         hits = []
-        for i in hit.nonzero()[0].tolist():
+        for i in hit:
             # colex rank i among the n - j vertices outside jlabel: the v-th
             # of them is v stepped past each label vertex at or below it
             added = []

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter, deque
 from functools import partial
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -205,7 +206,7 @@ class TestBranching:
         assert ks_distance(sizes, law) < KS_TWO_SIDED / math.sqrt(trees)
 
     def test_pop_memory_is_the_draws(self):
-        # one pop at n = 4,000,000 draws n - 1 doubles (30.5 MiB); mapping its
+        # one pop at n = 4,000,000 draws n - 1 words (30.5 MiB); mapping its
         # hits to vertices must not list the n - 1 vertices outside the root
         params = TheoryParams(4_000_000, 2, 1, 0.3)
         tracemalloc.start()
@@ -230,20 +231,49 @@ class TestBranching:
     @pytest.mark.parametrize("k, j", PAIRS)
     def test_draws_match_one_array_per_pop(self, k, j):
         # n = k leaves one candidate k-set per pop; p at mean offspring 3
-        # grows trees past the small caps
+        # grows trees past the small caps, and p = 1 - 2**-53 and 5e-324 put
+        # the word threshold one step inside each end of the word range
+        def p_at(n, mean):
+            return min(1.0, mean / ((math.comb(k, j) - 1) * math.comb(n - j, k - j)))
+
         root = tuple(range(1, j + 1))
         shapes = Counter()
-        for n, mean, cap in [(k, 0.9, 40), (k, 3, 8), (12, 3, 6), (12, 0.9, processes.DEFAULT_CAP),
-                             (30, 0.9, processes.DEFAULT_CAP)]:
-            p = min(1.0, mean / ((math.comb(k, j) - 1) * math.comb(n - j, k - j)))
+        for n, p, cap in [(k, p_at(k, 0.9), 40), (k, p_at(k, 3), 8), (12, p_at(12, 3), 6),
+                          (12, p_at(12, 0.9), processes.DEFAULT_CAP),
+                          (30, p_at(30, 0.9), processes.DEFAULT_CAP),
+                          (12, 1 - 2**-53, 6), (12, 5e-324, processes.DEFAULT_CAP)]:
             for seed in range(25):
                 tree = branching_with_rate(n, k, j, p, root, seed, cap)
                 assert tree == reference_branch(n, k, j, p, root, seed, cap)
                 shapes[tree.truncated, tree.size > 0] += 1
         assert shapes[True, True] and shapes[False, True] and shapes[False, False]
 
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 2**-53, math.nextafter(3 * 2**-53, 0), 3 * 2**-53,
+                                   math.nextafter(3 * 2**-53, 1), 0.25, 1 - 2**-53, 1.0])
+    def test_hits_at_the_word_threshold(self, monkeypatch, p):
+        # rng.random() makes the word w the double (w >> 11) * 2**-53, so a
+        # candidate hits iff w < ceil(p * 2**53) * 2**11.  Seeded words land
+        # on that edge about once in 2**53, so the root draws words crafted
+        # on both sides of it; every later pop draws the top word, which no
+        # p < 1 hits.
+        c = math.ceil(p * 2**53)
+        words = sorted({w for w in (c * 2**11 - 1, c * 2**11, (c - 1) * 2**11, (c - 1) * 2**11 + 2047)
+                        if 0 <= w < 2**64})
+        draws = [np.array(words, np.uint64)]
+
+        def random_raw(size):
+            assert size == len(words)
+            return draws.pop() if draws else np.full(size, 2**64 - 1, np.uint64)
+
+        fake = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+        monkeypatch.setattr(processes, "make_generator", lambda seed: fake)
+        # (n, 2, 1) with root (1,): candidate i is the edge (1, i + 2)
+        tree = branching_with_rate(len(words) + 1, 2, 1, p, (1,), 0, cap=len(words))
+        children = [label for label, parent in zip(tree.labels, tree.parents) if parent == 0]
+        assert children == [(1, i + 2) for i, w in enumerate(words) if (w >> 11) * 2**-53 < p]
+
     def test_over_max_draws_refused_before_any_buffer(self):
-        # MAX_DRAWS + 1 candidates per pop: the two buffers would take 36 MiB
+        # MAX_DRAWS + 1 candidates per pop: their words and hits would take 36 MiB
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="uniforms"):
@@ -279,7 +309,7 @@ class TestFanOutRefusal:
             coupled_run(self.H, TheoryParams(60, 60, 30, 0.3), self.START, 0)
 
     def test_draws_per_pop(self):
-        # C(10**5 - 1, 2) uniforms per popped j-set, about 37 GiB of doubles;
+        # C(10**5 - 1, 2) uniforms per popped j-set, about 37 GiB of words;
         # C(10**15 - 1, 2**16 - 1) is refused without being computed
         with pytest.raises(ResourceLimitError, match="uniforms"):
             branching_with_rate(10**5, 3, 1, 0.0, (1,), 0)
