@@ -122,8 +122,8 @@ def colex_dtype(n: int, size: int) -> type:
 
     int64 while every C(x, i) with x <= n and i <= size, times size, stays
     below 2**62, so that ranks, binomial tables and the products and
-    differences inside `_new_table` and `rank_array` cannot overflow; object
-    (exact Python ints) beyond that.  The last 64 answers are kept.
+    differences inside `_colex_tables` and `rank_array` cannot overflow;
+    object (exact Python ints) beyond that.  The last 64 answers are kept.
     """
     fits = comb_at_most(n, min(size, n // 2), (2**62 - 1) // max(size, 1))
     return object if fits is None else np.int64
@@ -168,47 +168,37 @@ def _holders(subsets: tuple) -> dict[int, dict[int, list[int]]]:
     return holders
 
 
-# (n, i, dtype) -> the read-only table of C(x, i) over x in [0, n), in
-# dtype, for `unrank_array`; the last MAX_TABLES used are kept, least recent first
-_TABLES: dict[tuple, np.ndarray] = {}
-MAX_TABLES = 16
-
-
-def _colex_table(n: int, i: int, dtype: type, above: np.ndarray | None = None) -> np.ndarray:
-    # The kept table of C(x, i), or a new one from `above`, the table at i + 1
-    key = (n, i, dtype)
-    table = _TABLES.pop(key, None)
-    if table is None:
-        table = _new_table(n, i, dtype, above)
-        table.flags.writeable = False
-        if len(_TABLES) == MAX_TABLES:
-            del _TABLES[next(iter(_TABLES))]
-    _TABLES[key] = table
-    return table
-
-
-def _new_table(n: int, i: int, dtype: type, above: np.ndarray | None) -> np.ndarray:
-    # C(x, i) over x in [0, n) by O(n) exact operations: from the table
-    # above by differences, C(x, i) = C(x + 1, i + 1) - C(x, i + 1), with
-    # C(n - 1, i) last; without one, in int64 by i passes of C(x, t + 1) =
-    # C(x, t) * (x - t) // (t + 1) (`colex_dtype` keeps i below 62 there),
-    # and in Python ints by the ratio C(x + 1, i) = C(x, i) * (x + 1) // (x + 1 - i)
-    if above is not None:
-        table = np.empty(n, dtype)
-        np.subtract(above[1:], above[:-1], out=table[:-1])
-        table[-1] = math.comb(n - 1, i)
-        return table
+@functools.lru_cache(maxsize=8)
+def _colex_tables(n: int, size: int) -> tuple[np.ndarray, ...]:
+    # The read-only tables of C(x, i) over x in [0, n) for i = size, ..., 2,
+    # in `colex_dtype(n, size)`, by O(n) exact operations each: the top one
+    # in int64 by i passes of C(x, t + 1) = C(x, t) * (x - t) // (t + 1)
+    # (`colex_dtype` keeps size below 62 there) or in Python ints by the ratio
+    # C(x + 1, i) = C(x, i) * (x + 1) // (x + 1 - i), each lower one by the
+    # differences C(x, i) = C(x + 1, i + 1) - C(x, i + 1), C(n - 1, i) last
+    if size < 2:
+        return ()
+    dtype = colex_dtype(n, size)
     if dtype is np.int64:
         x = np.arange(n)
         table = np.ones_like(x)
-        for t in range(i):
+        for t in range(size):
             table = table * (x - t) // (t + 1)
-        return table
-    table, c = [0] * min(i, n), 1
-    for x in range(i, n):
-        table.append(c)
-        c = c * (x + 1) // (x + 1 - i)
-    return np.array(table, dtype)
+    else:
+        cells, c = [0] * min(size, n), 1
+        for x in range(size, n):
+            cells.append(c)
+            c = c * (x + 1) // (x + 1 - size)
+        table = np.array(cells, dtype)
+    tables = [table]
+    for i in range(size - 1, 1, -1):
+        table = np.empty(n, dtype)
+        np.subtract(tables[-1][1:], tables[-1][:-1], out=table[:-1])
+        table[-1] = math.comb(n - 1, i)
+        tables.append(table)
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
@@ -222,17 +212,15 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     C(x, 2) <= rem iff x <= 1/2 + sqrt(2 * rem + 1/4), whose float value,
     clamped to [1, n-1], is within one of that x; one step down and one
     step up, checked against the table and never past n-1, make it exact.
-    Each table is built once from the one above it by O(n) exact
-    differences, the top one directly; the last 16 used are kept,
-    read-only, so repeated calls at one (n, size) build none.  The last
-    position needs no table: C(x, 1) = x, so it holds rem + 1.
+    The size - 1 tables of one (n, size) are built together, the lower ones
+    by O(n) exact differences, and kept read-only for the last 8 (n, size)
+    used, so repeated calls at one (n, size) build none.  The last position
+    needs no table: C(x, 1) = x, so it holds rem + 1.
     """
     dtype = colex_dtype(n, size)
     out = np.empty((len(ranks), size), dtype=np.int64)
     rem = ranks
-    table = None
-    for i in range(size, 1, -1):
-        table = _colex_table(n, i, dtype, table)
+    for i, table in zip(range(size, 1, -1), _colex_tables(n, size)):
         if i == 2 < size and dtype is np.int64:
             root = np.sqrt(rem * 2.0 + 0.25)
             root += 0.5

@@ -43,7 +43,7 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterator, Optional
 
@@ -163,15 +163,16 @@ class ComponentSummary:
 # O(edges) however large C(n, k) * p is.
 _BLOCK = 1 << 16
 # Largest (k - 1) * n for which `sample` builds its colex tables, the k - 1
-# tables of n cells that `unrank_array` needs (32 MiB of int64).
+# tables of n cells that `unrank_array` needs: one entry of its cache, which
+# keeps 8, so 8 x 32 MiB of int64 at worst.
 MAX_TABLE_CELLS = 1 << 22
 # Largest j-subset template of one k-set, C(k, j) subsets of j cells; the
 # C(k, j) ranks per edge of a hypergraph are bounded by the edge budget.
 # The template is built as Python objects, about 600 B per subset (at j = 1,
 # C(k, 1) = 2^18 subsets peak at 190 MiB RSS), so the cap keeps it near
-# 70 MiB; the largest template in use is 60 cells, at (k, j) = (6, 3).  The
-# last 8 templates and their `rank_array` holder maps are kept, under 30 MiB
-# each at the cap.
+# 70 MiB; the largest template in use is 60 cells, at (k, j) = (6, 3).  It
+# is built on each key build and dropped; only the last 8 `rank_array`
+# holder maps are kept, under 30 MiB each at the cap.
 MAX_TEMPLATE_CELLS = 1 << 16
 
 
@@ -302,12 +303,6 @@ def _check_subsets(n: int, k: int, j: int) -> None:
         )
 
 
-@lru_cache(maxsize=8)
-def _subsets(k: int, j: int) -> tuple[tuple[int, ...], ...]:
-    # the j-subsets of range(k) in `combinations` order; the last 8 are kept
-    return tuple(combinations(range(k), j))
-
-
 def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     # Every edge's j-subsets as keys rank * count + row, sorted by value, where
     # count = len(keys) is the number of rows: row e*C(k,j) + i is edge e's
@@ -321,7 +316,7 @@ def _sorted_keys(h: Hypergraph, j: int) -> np.ndarray:
     if (keys := h._jset_keys.get(j)) is not None:
         return keys
     _check_subsets(h.n, h.k, j)
-    subsets = _subsets(h.k, j)
+    subsets = tuple(combinations(range(h.k), j))
     count = len(h.array) * len(subsets)
     dtype = colex_dtype(h.n, j)
     if dtype is np.int64:  # else C(n, j) is too large to form cheaply

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlab import experiments
-from hyperlab.combinatorics import TheoryParams, colex_dtype
+from hyperlab.combinatorics import TheoryParams, _colex_tables, colex_dtype
 from hyperlab.errors import ResourceLimitError, ValidationError
 from hyperlab.experiments import (
     QUANTILES,
@@ -100,6 +100,15 @@ class TestRunExperiment:
         assert rec.hypertree == (None, None)
         assert summary.hypertree_frac == (None, None)
         assert "hypertree_frac_1=null" in machine_block(summary)
+
+    def test_one_table_build_per_n_and_k(self):
+        # every trial at one (n, k) unranks its edges with the same kept tables
+        _colex_tables.cache_clear()
+        cfg = ExperimentConfig(n=250, k=3, j=2, epsilon=0.3, trials=30)
+        for hits in (29, 59):
+            run_experiment(cfg)
+            info = _colex_tables.cache_info()
+            assert (info.misses, info.hits) == (1, hits)
 
     def test_edge_budget_guard(self):
         cfg = ExperimentConfig(n=400, k=3, j=2, epsilon=0.3, trials=1, cap=10)
