@@ -13,6 +13,11 @@ exact too: they compute in int64 while every intermediate fits and in
 object arrays of Python ints beyond that (`colex_dtype`).  `rank_array`
 ranks, in a dtype its caller gives, any position-subsets of the rows of an
 array, whole rows or every j-subset of every edge, one column at a time.
+`unrank_array` reads each position below the top of int64 ranks with one
+gather from a cached int16 inverse table while those tables total at most
+`MAX_TABLE_CELLS` cells (position 2 up to n = 2,897); past that cap position
+2 takes a sqrt closed form, and the top, other positions and object ranks a
+`searchsorted` in the table of C(x, i).
 """
 
 from __future__ import annotations
@@ -168,14 +173,25 @@ def _holders(subsets: tuple) -> dict[int, dict[int, list[int]]]:
     return holders
 
 
+# Most cells of int16 inverse tables one `_colex_tables` entry holds, and the
+# largest (k - 1) * n for which `sample` builds its k - 1 forward tables of n
+# cells: so one entry holds at most 32 MiB of int64 forward tables plus 8 MiB
+# of int16 inverses, and the cache keeps 8 entries.
+MAX_TABLE_CELLS = 1 << 22
+
+
 @functools.lru_cache(maxsize=8)
-def _colex_tables(n: int, size: int) -> tuple[np.ndarray, ...]:
-    # The read-only tables of C(x, i) over x in [0, n) for i = size, ..., 2,
-    # in `colex_dtype(n, size)`, by O(n) exact operations each: the top one
-    # in int64 by i passes of C(x, t + 1) = C(x, t) * (x - t) // (t + 1)
-    # (`colex_dtype` keeps size below 62 there) or in Python ints by the ratio
-    # C(x + 1, i) = C(x, i) * (x + 1) // (x + 1 - i), each lower one by the
-    # differences C(x, i) = C(x + 1, i + 1) - C(x, i + 1), C(n - 1, i) last
+def _colex_tables(n: int, size: int) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+    # For i = size, ..., 2, top first: the read-only table of C(x, i) over x in
+    # [0, n) in `colex_dtype(n, size)`, with its inverse or None.  Each table
+    # takes O(n) exact operations: the top one in int64 by i passes of
+    # C(x, t + 1) = C(x, t) * (x - t) // (t + 1) (`colex_dtype` keeps size below
+    # 62 there) or in Python ints by the ratio C(x + 1, i) = C(x, i) * (x + 1) //
+    # (x + 1 - i), each lower one by the differences C(x, i) = C(x + 1, i + 1) -
+    # C(x, i + 1), C(n - 1, i) last.  An inverse holds each x C(x + 1, i) - C(x, i)
+    # times, so inv[r] is the largest x with C(x, i) <= r over r < C(n - 1, i);
+    # int64 positions below the top get one from i = 2 upward while their cells
+    # total at most MAX_TABLE_CELLS, so int16 holds every x <= n - 2 <= 2,895
     if size < 2:
         return ()
     dtype = colex_dtype(n, size)
@@ -196,32 +212,46 @@ def _colex_tables(n: int, size: int) -> tuple[np.ndarray, ...]:
         np.subtract(tables[-1][1:], tables[-1][:-1], out=table[:-1])
         table[-1] = math.comb(n - 1, i)
         tables.append(table)
-    for table in tables:
-        table.flags.writeable = False
-    return tuple(tables)
+    inverses: list[np.ndarray | None] = [None] * len(tables)
+    inverse_cells = 0
+    for t in range(len(tables) - 1, 0, -1):
+        inverse_cells += int(tables[t][-1])
+        if dtype is not np.int64 or inverse_cells > MAX_TABLE_CELLS:
+            break
+        inverses[t] = np.repeat(np.arange(n - 1, dtype=np.int16), np.diff(tables[t]))
+    for array in tables + inverses:
+        if array is not None:
+            array.flags.writeable = False
+    return tuple(zip(tables, inverses))
 
 
 def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     """Inverse of whole-row `rank_array`: the (len(ranks), size) int64 array
     whose row r is the subset of [1, n] at colex rank ranks[r].
 
-    Position i (from the top) holds 1 + the largest x with C(x, i) <= rem,
-    found by `searchsorted` in the table of C(x, i) over x in [0, n).  At
-    position 2 below the top, whose remainders come unsorted (the top's
-    come sorted from `sample`), int64 ranks use a closed form instead:
-    C(x, 2) <= rem iff x <= 1/2 + sqrt(2 * rem + 1/4), whose float value,
-    clamped to [1, n-1], is within one of that x; one step down and one
-    step up, checked against the table and never past n-1, make it exact.
-    The size - 1 tables of one (n, size) are built together, the lower ones
-    by O(n) exact differences, and kept read-only for the last 8 (n, size)
-    used, so repeated calls at one (n, size) build none.  The last position
-    needs no table: C(x, 1) = x, so it holds rem + 1.
+    Position i (from the top) holds 1 + the largest x with C(x, i) <= rem.
+    Below the top rem < C(n - 1, i), and int64 ranks read x with one gather
+    from the position's int16 inverse table, mode "clip" keeping out-of-range
+    ranks inside it; positions get one from 2 upward while their inverses
+    total at most `MAX_TABLE_CELLS` cells, which covers position 2 for
+    n <= 2,897.  Past that cap, position 2 of int64 ranks, whose remainders
+    come unsorted, takes a closed form: C(x, 2) <= rem iff
+    x <= 1/2 + sqrt(2 * rem + 1/4), whose float value, clamped to [1, n-1],
+    is within one of that x; one step down and one step up, checked against
+    the table and never past n-1, make it exact.  Every other position is
+    found by `searchsorted` in the table of C(x, i) over x in [0, n) (the
+    top's remainders come sorted from `sample`).  The tables of one
+    (n, size) are kept read-only for the last 8 (n, size) used, so repeated
+    calls at one (n, size) build none.  The last position needs no table:
+    C(x, 1) = x, so it holds rem + 1.
     """
     dtype = colex_dtype(n, size)
     out = np.empty((len(ranks), size), dtype=np.int64)
     rem = ranks
-    for i, table in zip(range(size, 1, -1), _colex_tables(n, size)):
-        if i == 2 < size and dtype is np.int64:
+    for i, (table, inverse) in zip(range(size, 1, -1), _colex_tables(n, size)):
+        if inverse is not None:
+            a = inverse.take(rem, mode="clip")
+        elif i == 2 < size and dtype is np.int64:
             root = np.sqrt(rem * 2.0 + 0.25)
             root += 0.5
             a = root.astype(np.int64)
@@ -233,7 +263,7 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
         else:
             a = np.searchsorted(table, rem, side="right") - 1
         out[:, i - 1] = a + 1
-        rem = rem - table[a]
+        rem = rem - table.take(a)
     if size:
         out[:, 0] = rem + 1
     return out

@@ -32,8 +32,8 @@ from .rng import RNG_ALGORITHM, SEED_MIXER, trial_seed
 QUANTILES = (0.05, 0.25, 0.50, 0.75, 0.95)
 DEFAULT_EDGE_BUDGET = 5_000_000
 # Largest trial count and top-m rank count: a run holds trials * m ranks in
-# memory, and MAX_TRIALS (250, 3, 2) trials take 46-47 s on one worker, at
-# the 0.46-0.47 ms per trial of `run_experiment` that perfbench's `accept`
+# memory, and MAX_TRIALS (250, 3, 2) trials take about 44 s on one worker, at
+# the 0.437-0.441 ms per trial of `run_experiment` that perfbench's `accept`
 # workload measured on two shared cores (Python 3.11, numpy 2.4).
 MAX_TRIALS = 100_000
 MAX_M = 100

@@ -49,8 +49,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .combinatorics import (check_domain, colex_dtype, comb_at_most, rank_array, rank_subset,
-                            show_int, subset_masks, unrank_array)
+from .combinatorics import (MAX_TABLE_CELLS, check_domain, colex_dtype, comb_at_most, rank_array,
+                            rank_subset, show_int, subset_masks, unrank_array)
 from .errors import ResourceLimitError, ValidationError
 from .rng import make_generator
 
@@ -162,10 +162,6 @@ class ComponentSummary:
 # Uniform draws per block of the gap sampler: the blocks keep memory at
 # O(edges) however large C(n, k) * p is.
 _BLOCK = 1 << 16
-# Largest (k - 1) * n for which `sample` builds its colex tables, the k - 1
-# tables of n cells that `unrank_array` needs: one entry of its cache, which
-# keeps 8, so 8 x 32 MiB of int64 at worst.
-MAX_TABLE_CELLS = 1 << 22
 # Largest j-subset template of one k-set, C(k, j) subsets of j cells; the
 # C(k, j) ranks per edge of a hypergraph are bounded by the edge budget.
 # The template is built as Python objects, about 600 B per subset (at j = 1,

@@ -888,3 +888,14 @@ def test_trial_imports_no_process_pool():
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_import_builds_no_colex_table():
+    # the tables and their inverses are built on the first `unrank_array` at
+    # an (n, size), so an import's time and memory stay clear of them
+    code = ("import hyperlab\nfrom hyperlab.combinatorics import _colex_tables\n"
+            "print(_colex_tables.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

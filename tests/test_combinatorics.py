@@ -122,11 +122,12 @@ def test_unrank_array_sizes_zero_and_one():
 
 
 class TestUnrankExact:
-    """`unrank_array` against `unrank_subset`, where the int64 closed form at
-    position 2 runs and where it does not."""
+    """`unrank_array` against `unrank_subset`, where the inverse tables and
+    the int64 closed form at position 2 run and where they do not."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
+        combinatorics._colex_tables.cache_clear()  # tables kept under another cap
         yield
         combinatorics._colex_tables.cache_clear()  # a table at n = 3e6 holds 24 MB
 
@@ -153,13 +154,29 @@ class TestUnrankExact:
     @pytest.mark.parametrize("offset", [-0.999, 0.999])
     def test_root_off_by_one_is_corrected(self, monkeypatch, offset):
         # float roots are exact below n of about 2**26, so the checked steps
-        # are driven here by a root pushed almost one whole step either way
+        # are driven here by a root pushed almost one whole step either way;
+        # with no inverse tables, position 2 takes the closed form at every n
+        monkeypatch.setattr(combinatorics, "MAX_TABLE_CELLS", 0)
         sqrt = np.sqrt
         monkeypatch.setattr(np, "sqrt", lambda x: sqrt(x) + offset)
         for n, size in ((3, 3), (4, 3), (40, 3), (12, 5), (24, 4)):
             total = math.comb(n, size)
             assert unrank_array(np.arange(total), size, n).tolist() == [
                 unrank_subset(r, size, n) for r in range(total)]
+
+    @pytest.mark.parametrize("n, size", [(40, 3), (24, 4), (12, 5), (10, 6)])
+    def test_both_sides_of_the_cap(self, monkeypatch, n, size):
+        # a cap of 0 or of one cell short of C(n - 1, 2) leaves every position
+        # without an inverse; a cap of exactly C(n - 1, 2) gives position 2 one
+        total = math.comb(n, size)
+        expected = [unrank_subset(r, size, n) for r in range(total)]
+        two = math.comb(n - 1, 2)
+        for cap, covered in ((0, False), (two - 1, False), (two, True)):
+            monkeypatch.setattr(combinatorics, "MAX_TABLE_CELLS", cap)
+            combinatorics._colex_tables.cache_clear()
+            inverses = [inv for _, inv in combinatorics._colex_tables(n, size)]
+            assert [inv is not None for inv in inverses] == [False] * (size - 2) + [covered]
+            assert unrank_array(np.arange(total), size, n).tolist() == expected
 
     def test_out_of_range_ranks_index_nothing_outside_the_tables(self):
         n, size = 10, 3
@@ -171,8 +188,8 @@ class TestUnrankExact:
 
 class TestColexTables:
     """`unrank_array` builds the tables of C(x, i) of one (n, size) once, each
-    below the top from the one above, and keeps a bounded number of them,
-    read-only."""
+    below the top from the one above, with their inverses below the top, and
+    keeps a bounded number of them, read-only."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -193,19 +210,42 @@ class TestColexTables:
         # int64 and Python-int tables, built directly and by differences
         tables = combinatorics._colex_tables(n, size)
         assert len(tables) == size - 1
-        for i, table in zip(range(size, 1, -1), tables):
+        for i, (table, _) in zip(range(size, 1, -1), tables):
             assert table.dtype == colex_dtype(n, size)
             assert table.tolist() == [math.comb(x, i) for x in range(n)]
+
+    @pytest.mark.parametrize("size", [3, 4, 5, 6])
+    def test_every_inverse_is_exact(self, size):
+        # inv[r] is the largest x with C(x, i) <= r, for every r < C(n - 1, i)
+        for n in range(size, 16):
+            (_, top), *below = combinatorics._colex_tables(n, size)
+            assert top is None
+            for i, (_, inverse) in zip(range(size - 1, 1, -1), below):
+                assert inverse.dtype == np.int16
+                assert inverse.tolist() == [max(x for x in range(n) if math.comb(x, i) <= r)
+                                            for r in range(math.comb(n - 1, i))]
+
+    def test_inverses_stop_at_the_cap(self):
+        # C(n - 1, 2) <= 2**22 up to n = 2,897; at k = 4 position 3's C(n - 1, 3)
+        # fits beside it at n = 250, and not at n = 300; none for Python ints
+        def covered(n, size):
+            return [inv is not None for _, inv in combinatorics._colex_tables(n, size)]
+        assert covered(2897, 3) == [False, True]
+        assert covered(2898, 3) == [False, False]
+        assert covered(250, 4) == [False, True, True]
+        assert covered(300, 4) == [False, False, True]
+        assert colex_dtype(70, 35) is object and not any(covered(70, 35))
 
     def test_tables_are_read_only(self):
         unrank_array(np.arange(10), 4, 30)
         tables = combinatorics._colex_tables(30, 4)
         assert combinatorics._colex_tables.cache_info().misses == 1  # the kept tables
-        for i, table in zip(range(4, 1, -1), tables):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 1
+        for i, (table, inverse) in zip(range(4, 1, -1), tables):
             assert table.tolist() == [math.comb(x, i) for x in range(30)]
+            for array in (table, inverse) if i < 4 else (table,):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
     def test_bounded_and_still_exact_after_many_n(self):
         for n in range(10, 110):
