@@ -13,11 +13,8 @@ exact too: they compute in int64 while every intermediate fits and in
 object arrays of Python ints beyond that (`colex_dtype`).  `rank_array`
 ranks, in a dtype its caller gives, any position-subsets of the rows of an
 array, whole rows or every j-subset of every edge, one column at a time.
-`unrank_array` reads each position below the top of int64 ranks with one
-gather from a cached int16 inverse table while those tables total at most
-`MAX_TABLE_CELLS` cells (position 2 up to n = 2,897); past that cap position
-2 takes a sqrt closed form, and the top, other positions and object ranks a
-`searchsorted` in the table of C(x, i).
+`unrank_array` reads cached tables of C(x, i) and their inverses; its
+docstring gives the method.
 """
 
 from __future__ import annotations
@@ -242,7 +239,10 @@ def unrank_array(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     found by `searchsorted` in the table of C(x, i) over x in [0, n) (the
     top's remainders come sorted from `sample`).  The tables of one
     (n, size) are kept read-only for the last 8 (n, size) used, so repeated
-    calls at one (n, size) build none.  The last position needs no table:
+    calls at one (n, size) build none: the first call pays for the inverses
+    (up to 8 MiB written near the cap), and the inverses pay off only over
+    the many calls at one (n, size) that a run of trials makes, not in a
+    lone `sample`.  The last position needs no table:
     C(x, 1) = x, so it holds rem + 1.
     """
     dtype = colex_dtype(n, size)

@@ -867,12 +867,16 @@ def test_trial_imports_neither_scipy_nor_networkx():
 
 def test_package_import_leaves_numpy_random_unloaded():
     # numpy.random slows the package's import by half or more; make_generator
-    # loads it on first use, so an import alone must not
-    code = "import sys\nimport hyperlab\nprint('numpy.random' in sys.modules)\n"
+    # loads it on first use, so an import alone must not.  Nor does it build
+    # colex tables or their inverses: the first `unrank_array` at an (n, size)
+    # builds them
+    code = ("import sys\nimport hyperlab\nprint('numpy.random' in sys.modules)\n"
+            "from hyperlab.combinatorics import _colex_tables\n"
+            "print(_colex_tables.cache_info().currsize)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n0\n"
 
 
 def test_trial_imports_no_process_pool():
@@ -889,13 +893,3 @@ def test_trial_imports_no_process_pool():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
-
-def test_package_import_builds_no_colex_table():
-    # the tables and their inverses are built on the first `unrank_array` at
-    # an (n, size), so an import's time and memory stay clear of them
-    code = ("import hyperlab\nfrom hyperlab.combinatorics import _colex_tables\n"
-            "print(_colex_tables.cache_info().currsize)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
